@@ -19,19 +19,7 @@ sparsity and density actually runs:
   iterate over.
 """
 
-from .backends import (
-    DEFAULT_BACKEND,
-    NumpyBackend,
-    PlanBackend,
-    TiledFloat32Backend,
-    assign_backend,
-    backend_for,
-    backend_names,
-    get_backend,
-    register_backend,
-)
 from .kernel import CompiledConstraintSet, FeasibilityReport, compile_constraints
-from .plan import ExplainPlan, PlanStage
 from .runner import EngineRunner
 from .scenarios import (
     DEFAULT_ENSEMBLE_SIZE,
@@ -52,7 +40,6 @@ from .strategy import (
 )
 
 __all__ = [
-    "DEFAULT_BACKEND",
     "STRATEGY_NAMES",
     "CFStrategy",
     "CandidateBatch",
@@ -60,20 +47,11 @@ __all__ = [
     "CoreCFStrategy",
     "DEFAULT_ENSEMBLE_SIZE",
     "EngineRunner",
-    "ExplainPlan",
     "FeasibilityReport",
-    "NumpyBackend",
-    "PlanBackend",
-    "PlanStage",
     "Scenario",
     "ScenarioResult",
-    "TiledFloat32Backend",
-    "assign_backend",
-    "backend_for",
-    "backend_names",
     "build_strategy",
     "compile_constraints",
-    "get_backend",
     "get_scenario",
     "iter_scenarios",
     "register_scenario",

@@ -21,9 +21,13 @@ hosts that plumbing exactly once:
    (including the density and causal-plausibility columns when the
    matching models are hosted).
 
-Outputs are bit-identical to the pre-engine per-method paths — the
-parity tests in ``tests/engine/`` hold the line — and a runner without a
-density model runs the exact pre-density code path.
+:meth:`EngineRunner.run` is the one explain execution path: scenarios,
+the Table IV harness and every serving answer (``explain_batch`` cache
+misses and flushed tickets alike) go through it.  Outputs are
+bit-identical to the pre-engine per-method paths — the parity tests in
+``tests/engine/`` and ``tests/serve/test_service_parity.py`` hold the
+line — and a runner without a density model runs the exact pre-density
+code path.
 """
 
 from __future__ import annotations
@@ -141,27 +145,12 @@ class EngineRunner:
         except ValueError:
             return list(range(len(self.kernel)))
 
-    # -- compiled plans -----------------------------------------------------
-    def compile(self, strategy, backend="numpy"):
-        """Trace the fixed chain for ``strategy`` into an :class:`ExplainPlan`.
-
-        The plan resolves the constraint flag columns and lets the
-        backend prepare once, then replays the whole pipeline as a
-        single fused sweep per :meth:`ExplainPlan.execute` call.  The
-        default ``"numpy"`` backend is bit-identical to the staged
-        :meth:`run` path (the parity reference); ``"float32"`` streams
-        contiguous tiles with a float32 validity GEMM.
-        """
-        from .plan import ExplainPlan
-
-        return ExplainPlan(self, strategy, backend=backend)
-
     # -- core pipeline ------------------------------------------------------
     def project(self, x, candidates):
         """Immutable projection over a full ``(n, m, d)`` candidate batch."""
         return self.projector.project(x, candidates)
 
-    def run(self, strategy, x, desired=None, return_diagnostics=False, plan=None):
+    def run(self, strategy, x, desired=None, return_diagnostics=False):
         """Explain ``x`` with ``strategy``; returns a :class:`CFBatchResult`.
 
         One strategy proposal, one broadcast projection, one validity
@@ -170,20 +159,8 @@ class EngineRunner:
         batches are reduced to one counterfactual per row by the serving
         selection policy: closest by L1 among valid & feasible, then
         valid-only, then the first (deterministic) candidate.
-
-        ``plan`` routes the request through a compiled
-        :class:`ExplainPlan` (from :meth:`compile`) instead of the
-        staged chain; ``strategy`` may then be ``None`` (the plan
-        carries its own) but must otherwise be the compiled strategy.
         """
         from ..utils.validation import check_encoded_rows
-
-        if plan is not None:
-            if plan.runner is not self:
-                raise ValueError("plan was compiled against a different runner")
-            if strategy is not None and plan.strategy is not strategy:
-                raise ValueError("plan was compiled for a different strategy instance")
-            return plan.execute(x, desired, return_diagnostics=return_diagnostics)
 
         x = check_encoded_rows(x, self.encoder, "x")
         batch = strategy.propose(x, desired)
@@ -289,7 +266,6 @@ class EngineRunner:
         x_train=None,
         report_kinds=("unary", "binary"),
         method_name=None,
-        plan=None,
     ):
         """Fit-free evaluation: one engine run scored as a Table IV row.
 
@@ -299,14 +275,10 @@ class EngineRunner:
         kernel pass instead of re-evaluating the scored rows.  A hosted
         density model additionally fills the report's
         ``mean_knn_distance`` column from the run's own density scores.
-        ``plan`` scores through a compiled :class:`ExplainPlan` instead
-        of the staged chain (same report, bit for bit on the default
-        backend).
         """
         from ..metrics import evaluate_counterfactuals
 
-        result, diagnostics = self.run(
-            strategy, x, desired, return_diagnostics=True, plan=plan)
+        result, diagnostics = self.run(strategy, x, desired, return_diagnostics=True)
         report = diagnostics["report"]
         m = diagnostics["n_candidates"]
         if m > 1:
@@ -353,8 +325,9 @@ def _select_candidates(x, candidates, valid, feasible, robust=None):
     Preference order: valid & feasible (& quorum-robust first, when an
     ensemble is hosted), then valid, then candidate 0 (the deterministic
     decode).  Within a pool the candidate closest to the input by L1
-    distance wins — identical to ``repro.serve.service._pick_candidate``
-    applied row by row.
+    distance wins — the per-candidate-set policy
+    (``tests/helpers/serving.pick_candidate``) applied to every row at
+    once.
     """
     distances = np.abs(candidates - x[:, None, :]).sum(axis=2)
     n, m = distances.shape

@@ -337,8 +337,7 @@ def get_scenario(name):
     return _SCENARIOS[name]
 
 
-def run_scenario(scenario, scale=None, seed=0, store=None, context=None, runner=None,
-                 engine=None, backend=None):
+def run_scenario(scenario, scale=None, seed=0, store=None, context=None, runner=None):
     """Run one scenario end to end; returns a :class:`ScenarioResult`.
 
     Loads the dataset and trains the shared black-box (or warm-starts it
@@ -353,30 +352,13 @@ def run_scenario(scenario, scale=None, seed=0, store=None, context=None, runner=
     :class:`repro.models.BlackBoxEnsemble` of that size around the
     context's shared black-box; any of these runs through a dedicated
     model-hosting runner — a passed ``runner`` is not mutated.
-
-    ``engine`` picks the execution path: ``"staged"`` scores through the
-    classic stage-by-stage :meth:`EngineRunner.run`, ``"plan"`` compiles
-    the chain into an :class:`~repro.engine.plan.ExplainPlan` first and
-    replays it fused.  The default (``None``) resolves to ``"plan"``
-    exactly when the scenario has a non-default backend assigned
-    (:func:`repro.engine.backends.assign_backend`), staying bit-for-bit
-    on the historical path otherwise (the default backend's plan is
-    bit-identical anyway — the parity suite pins it).  ``backend``
-    overrides the per-scenario backend registry for the compiled path.
     """
     from ..experiments.harness import prepare_context
-    from .backends import DEFAULT_BACKEND, backend_for
     from .runner import EngineRunner
     from .strategy import build_strategy
 
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
-    if engine not in (None, "staged", "plan"):
-        raise ValueError(
-            f"engine must be None, 'staged' or 'plan', got {engine!r}")
-    plan_backend = backend if backend is not None else backend_for(scenario.name)
-    if engine is None:
-        engine = "plan" if plan_backend != DEFAULT_BACKEND else "staged"
     if context is None:
         context = prepare_context(
             scenario.dataset,
@@ -448,9 +430,6 @@ def run_scenario(scenario, scale=None, seed=0, store=None, context=None, runner=
         runner = EngineRunner(encoder, context.blackbox)
 
     desired = context.desired if scenario.desired == "paper" else None
-    plan = None
-    if engine == "plan":
-        plan = runner.compile(strategy, backend=plan_backend)
     report = runner.evaluate(
         strategy,
         context.x_explain,
@@ -458,7 +437,6 @@ def run_scenario(scenario, scale=None, seed=0, store=None, context=None, runner=
         stats=context.stats,
         report_kinds=report_kinds_for(scenario.strategy),
         method_name=scenario.strategy,
-        plan=plan,
     )
     return ScenarioResult(
         scenario=scenario,

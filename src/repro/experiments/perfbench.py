@@ -54,17 +54,13 @@ about ("as fast as the hardware allows"):
   advantage.  Hard predictions are asserted bit-identical (logits agree
   to BLAS-blocking precision) before timing and the fused path must
   hold a >= 3x speedup.
-* **plan** — the compiled :class:`repro.engine.ExplainPlan`
-  (:meth:`repro.engine.EngineRunner.compile`: the fixed
-  project/repair/validity/feasibility/select chain traced once and
-  replayed as one fused sweep) against the per-request staged chain a
-  pre-plan serving stack runs (one ``EngineRunner.run`` call per row).
-  The workload is the C-CHVAE serving shape — a fixed 40-candidate
-  sweep per row with a hosted SCM causal model and k-NN density — and
-  the compiled path is asserted bit-identical to the batched staged
-  path before timing and must hold a >= 3x speedup over the
-  per-request chain; the tiled float32 backend rides along as an
-  informational rate.
+* **plan** — one batched :meth:`repro.engine.EngineRunner.run` over
+  a whole request batch (the fixed project/repair/validity/feasibility/
+  select chain run once) against one ``EngineRunner.run`` call per
+  request, the shape an unbatched serving stack runs.  The workload is
+  the C-CHVAE serving shape — a fixed 40-candidate sweep per row with a
+  hosted SCM causal model — and the batched path must hold a >= 3x
+  speedup over the per-request calls.
 * **density** — the batched density-aware selection
   (:meth:`repro.core.DensityCFSelector.select_batch`: ONE tiled density
   query + one vectorized score pass for the whole sweep) against the
@@ -134,9 +130,8 @@ MIN_CAUSAL_SPEEDUP = 3.0
 #: serving-request batch shape.
 MIN_ROBUST_SPEEDUP = 3.0
 
-#: Acceptance floor: the compiled explain plan must beat the
-#: per-request staged chain by at least this factor on the C-CHVAE
-#: serving workload.
+#: Acceptance floor: one batched runner pass must beat one runner pass
+#: per request by at least this factor on the C-CHVAE serving workload.
 MIN_PLAN_SPEEDUP = 3.0
 
 #: Acceptance floor: a 4-replica worker pool must sustain at least this
@@ -590,13 +585,13 @@ class _FixedSweepStrategy:
     """Bench strategy replaying a fixed per-row candidate sweep.
 
     The C-CHVAE growing-sphere search proposes through one sequential
-    RNG, which makes its *propose* stage inherently per-request; what a
-    plan can fuse is everything downstream of proposal.  This strategy
-    pins exactly that workload: a precomputed ``(m, d)`` sweep per row,
-    looked up by row bytes, so propose is O(1) and the timed difference
-    between the compiled and per-request paths is the chain itself
-    (projection, causal repair, validity, feasibility, selection) — not
-    proposal cost.
+    RNG, which makes its *propose* stage inherently per-request; what
+    batching can amortise is everything downstream of proposal.  This
+    strategy pins exactly that workload: a precomputed ``(m, d)`` sweep
+    per row, looked up by row bytes, so propose is O(1) and the timed
+    difference between the batched and per-request paths is the chain
+    itself (projection, causal repair, validity, feasibility,
+    selection) — not proposal cost.
     """
 
     name = "fixed_sweep"
@@ -627,30 +622,26 @@ class _FixedSweepStrategy:
 
 
 def _plan_section(explainer, bundle, spec, min_seconds, seed):
-    """Time the compiled explain plan against the per-request staged chain.
+    """Time one batched runner pass against one runner pass per request.
 
     The workload is the C-CHVAE serving shape: ``plan_rows`` requests,
     each carrying a fixed ``plan_candidates``-candidate sweep (the
     baseline's ``n_candidates=40`` matrix shape), answered by a runner
     hosting the dataset's SCM causal model — so every request runs the
     full projection + causal repair + validity + feasibility +
-    selection chain.  The loop reference issues one staged
-    ``EngineRunner.run`` per request, exactly the pre-plan serving
-    shape; the compiled path replays ONE fused ``ExplainPlan.execute``
-    over the whole batch.  A density estimator is deliberately NOT
-    hosted here: the k-NN query costs per *point* (cKDTree), so it
-    neither amortises across requests nor measures what the plan fuses
-    — its batched-vs-loop story is the gated ``density`` section.
+    selection chain.  The loop reference issues one
+    ``EngineRunner.run`` per request, the unbatched serving shape; the
+    batched path answers the whole batch with ONE ``EngineRunner.run``.
+    A density estimator is deliberately NOT hosted here: the k-NN query
+    costs per *point* (cKDTree), so it does not amortise across
+    requests — its batched-vs-loop story is the gated ``density``
+    section.
 
-    The compiled path is asserted bit-identical to the *batched* staged
-    path before timing (the plan's parity contract; the parity suite
-    pins it per strategy and dataset).  Per-request staged results are
-    additionally sanity-checked to agree on nearly every row — they may
-    drift from the batch on selection near-ties because the validity
-    GEMM's BLAS blocking changes with batch shape, the same caveat every
-    batched-vs-loop section documents.  The compiled path must hold the
-    3x acceptance floor; the tiled float32 backend rides along as an
-    informational rate.
+    Per-request results are sanity-checked to agree with the batch on
+    nearly every row — they may drift on selection near-ties because
+    the validity GEMM's BLAS blocking changes with batch shape, the same
+    caveat every batched-vs-loop section documents.  The batched path
+    must hold the 3x acceptance floor.
     """
     from ..causal import ScmCausalModel
     from ..engine import EngineRunner
@@ -667,57 +658,39 @@ def _plan_section(explainer, bundle, spec, min_seconds, seed):
     x_train, _ = bundle.split("train")
     causal = ScmCausalModel(bundle.encoder).fit(x_train)
     runner = EngineRunner(bundle.encoder, explainer.blackbox, causal=causal)
-    plan = runner.compile(strategy)
 
-    result_staged = runner.run(strategy, x, desired)
-    result_plan = plan.execute(x, desired)
-    for field in ("x_cf", "predicted", "valid", "feasible"):
-        if not np.array_equal(getattr(result_plan, field),
-                              getattr(result_staged, field)):
-            raise AssertionError(
-                f"compiled plan diverges from the staged chain on {field}")
+    def batched():
+        return runner.run(strategy, x, desired)
 
-    def staged_requests():
+    def per_request():
         parts = [
             runner.run(strategy, x[i:i + 1], desired[i:i + 1]).x_cf
             for i in range(n)
         ]
         return np.concatenate(parts)
 
-    per_request_cf = staged_requests()
-    row_match = float((per_request_cf == result_staged.x_cf).all(axis=1).mean())
+    row_match = float((per_request() == batched().x_cf).all(axis=1).mean())
     if row_match < 0.9:
         raise AssertionError(
-            f"per-request staged chain agrees with the batch on only "
+            f"per-request runner passes agree with the batch on only "
             f"{row_match:.0%} of rows — more than near-tie drift")
 
-    loop_rate, loop_calls = _throughput(staged_requests, n, min_seconds)
-    fast_rate, fast_calls = _throughput(
-        lambda: plan.execute(x, desired), n, min_seconds)
+    loop_rate, loop_calls = _throughput(per_request, n, min_seconds)
+    fast_rate, fast_calls = _throughput(batched, n, min_seconds)
     speedup = fast_rate / loop_rate
     if speedup < MIN_PLAN_SPEEDUP:
         raise AssertionError(
-            f"compiled plan speedup {speedup:.2f}x over the per-request "
-            f"staged chain is below the {MIN_PLAN_SPEEDUP}x floor")
-
-    plan32 = runner.compile(strategy, backend="float32")
-    if not np.array_equal(plan32.execute(x, desired).predicted,
-                          result_staged.predicted):
-        raise AssertionError(
-            "float32 plan backend changed hard validity predictions")
-    f32_rate, _ = _throughput(
-        lambda: plan32.execute(x, desired), n, min_seconds)
+            f"batched runner speedup {speedup:.2f}x over per-request "
+            f"runner passes is below the {MIN_PLAN_SPEEDUP}x floor")
 
     return {
         "rows": n,
         "n_candidates": m,
-        "stages": [stage.name for stage in plan.stages],
         "rows_per_sec": round(fast_rate, 1),
         "rows_per_sec_loop": round(loop_rate, 1),
         "candidates_per_sec": round(fast_rate * m, 1),
-        "speedup_compiled_vs_requests": round(speedup, 2),
+        "speedup_batched_vs_requests": round(speedup, 2),
         "per_request_row_agreement": round(row_match, 4),
-        "float32_rows_per_sec": round(f32_rate, 1),
         "calls": fast_calls + loop_calls,
     }
 
@@ -847,7 +820,8 @@ def _serve_section(spec, seed):
     artifact must do).  Warm start = rebuild the service from the store
     and answer the same batch.  The cache-hit replay answers it a second
     time from the LRU cache.  A density-aware warm start (k-NN state
-    persisted next to the artifact, served via ``density="store"``)
+    persisted next to the artifact, served via
+    ``overlays={"density": "store"}``)
     rides along to prove the paper's density criterion survives a
     process restart.
     """

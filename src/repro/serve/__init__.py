@@ -17,7 +17,7 @@ servable system:
 * :mod:`repro.serve.cache` -- the thread-safe LRU cache primitive.
 * :mod:`repro.serve.scale` -- the horizontally scaled tier:
   :class:`WorkerPool` (N warm replicas, one shared pipeline, one
-  compiled plan) behind :class:`AsyncExplanationService` (asyncio
+  engine runner) behind :class:`AsyncExplanationService` (asyncio
   request coalescing).
 * :mod:`repro.serve.shm` -- shared-memory model weights, one physical
   copy across every replica.

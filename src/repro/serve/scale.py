@@ -7,10 +7,10 @@ fleet.  Three pieces compose:
   pipeline.  The leader replica warm-starts from the
   :class:`~repro.serve.store.ArtifactStore` through the standard
   ``warm_start(overlays={...})`` contract; siblings wrap the same
-  pipeline object and adopt the leader's compiled execution state
-  (runner, core strategy, compiled plan) — so the pool compiles ONE
-  plan, not N.  With ``shared_weights=True`` every model array lives in
-  one :class:`~repro.serve.shm.SharedWeights` segment and replicas hold
+  pipeline object and adopt the leader's execution state (engine
+  runner and core strategy) — so the pool builds ONE runner, not N.
+  With ``shared_weights=True`` every model array lives in one
+  :class:`~repro.serve.shm.SharedWeights` segment and replicas hold
   zero-copy views.  Requests shard across replicas by
   :class:`~repro.serve.routing.ConsistentHashRing` over the composite
   cache fingerprint plus row bytes, so each replica's LRU cache owns a
@@ -176,8 +176,8 @@ class WorkerPool:
     backend:
         ``"thread"`` (default) or ``"process"`` — the one seam between
         in-process replicas and forked worker processes.
-    overlays, strategy, engine, plan_backend, cache_size,
-    density_weight, density_candidates, robust_quorum:
+    overlays, strategy, cache_size, density_weight, density_candidates,
+    robust_quorum:
         Forwarded to :meth:`ExplanationService.warm_start` for the
         leader; siblings replicate the exact configuration and share the
         leader's hosted model objects.
@@ -202,8 +202,6 @@ class WorkerPool:
         backend="thread",
         overlays=None,
         strategy=None,
-        engine="staged",
-        plan_backend="numpy",
         cache_size=4096,
         density_weight=1.0,
         density_candidates=8,
@@ -231,8 +229,6 @@ class WorkerPool:
             density_weight=density_weight,
             density_candidates=density_candidates,
             robust_quorum=robust_quorum,
-            engine=engine,
-            plan_backend=plan_backend,
         )
         self.shared = None
         if shared_weights:
@@ -257,15 +253,11 @@ class WorkerPool:
                 causal=leader.causal,
                 ensemble=leader.ensemble,
                 robust_quorum=robust_quorum,
-                engine=engine,
-                plan_backend=plan_backend,
             )
             sibling.adopt_execution_from(leader)
             services.append(sibling)
 
-        #: The pool's composite cache fingerprint — also forces the
-        #: leader's runner/plan to exist BEFORE process replicas fork,
-        #: so the pool compiles once and every fork inherits it.
+        #: The pool's composite cache fingerprint (the routing key prefix).
         self.fingerprint = leader.cache_fingerprint
         self._template = leader
 

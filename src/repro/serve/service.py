@@ -2,44 +2,41 @@
 
 :class:`ExplanationService` is the request-facing entry point of the
 serving subsystem: it wraps a trained pipeline (freshly trained or
-rebuilt from an :class:`~repro.serve.store.ArtifactStore`), answers
-``explain_batch`` requests through the graph-free fast path, memoises
+rebuilt from an :class:`~repro.serve.store.ArtifactStore`), memoises
 per-row results in an LRU cache keyed on the pipeline fingerprint, and
-coalesces queued single-row requests into one vectorized
-``generate_candidates`` sweep.
+coalesces queued single-row requests into one vectorized sweep.
 
-The service is strategy-agnostic: pass any fitted
-:class:`repro.engine.CFStrategy` (a baseline, or a diverse-candidate
-core strategy) and batches route through the shared
-:class:`repro.engine.EngineRunner` instead of the core generator.  Cache
-keys carry a strategy fingerprint, so results from different strategies
-never collide.
+Every answer comes from ONE path: a :meth:`repro.engine.EngineRunner.run`
+call over the cache-miss rows (``explain_batch``) or the stacked pending
+tickets (``flush``).  What varies is only the strategy the runner is
+handed and the models it hosts:
 
-It is also density-aware: pass a fitted
-:class:`repro.density.DensityModel` (or warm-start one straight from
-the artifact store's persisted density state) and cache-miss rows are
-selected by the Figure 3 proximity+density score through the engine
-runner — the paper's density criterion survives a process restart.
-Cache keys additionally carry the density fingerprint.
+* the core pipeline with nothing else hosted proposes the one-shot
+  deterministic decode for ``explain_batch`` and an ``n_candidates``
+  latent sweep (closest valid & feasible wins) for ``flush``;
+* any fitted :class:`repro.engine.CFStrategy` (a baseline, or a
+  diverse-candidate core strategy) replaces the core proposal;
+* a fitted :class:`repro.density.DensityModel` selects by the Figure 3
+  proximity+density score over a ``density_candidates`` sweep;
+* a fitted :class:`repro.causal.CausalModel` causally repairs every
+  batch before validity/feasibility;
+* a trained :class:`repro.models.BlackBoxEnsemble` makes quorum-robust
+  candidates win selection.
 
-And it is causality-aware: pass a fitted
-:class:`repro.causal.CausalModel` (or warm-start one from the store's
-persisted causal state) and every cache-miss batch is causally repaired
-by the engine runner before validity/feasibility — the paper's first
-pillar survives a process restart too.  Cache keys additionally carry
-the causal fingerprint.
+Cache keys carry the strategy and every overlay fingerprint, so results
+from different configurations never collide, and the overlays can be
+warm-started from the artifact store so the paper's density and
+causality criteria survive a process restart.
 """
 
 from __future__ import annotations
 
 import threading
-import warnings
 
 import numpy as np
 
 from ..core.result import CFBatchResult
-from ..core.selection import generate_candidates
-from ..engine import EngineRunner
+from ..engine import CoreCFStrategy, EngineRunner
 from ..utils.validation import check_encoded_rows
 from .cache import LRUResultCache
 
@@ -132,18 +129,6 @@ class ExplanationService:
         carry the ensemble fingerprint.
     robust_quorum:
         Member-agreement fraction a candidate needs to count as robust.
-    engine:
-        Execution path for cache-miss batches: ``"staged"`` (default)
-        runs the classic stage-by-stage :meth:`EngineRunner.run`;
-        ``"plan"`` compiles the served chain into an
-        :class:`~repro.engine.plan.ExplainPlan` once and replays it
-        fused (recompiled automatically when the runner or strategy is
-        re-pointed).  Plan serving always routes through the engine
-        runner, and the plan fingerprint joins the cache key.
-    plan_backend:
-        Backend name (or instance) the ``"plan"`` engine compiles onto;
-        the default ``"numpy"`` backend is bit-identical to staged
-        serving.
     """
 
     def __init__(
@@ -157,11 +142,7 @@ class ExplanationService:
         causal=None,
         ensemble=None,
         robust_quorum=0.5,
-        engine="staged",
-        plan_backend="numpy",
     ):
-        if engine not in ("staged", "plan"):
-            raise ValueError(f'engine must be "staged" or "plan", got {engine!r}')
         self.pipeline = pipeline
         self.explainer = pipeline.explainer
         self.strategy = strategy
@@ -171,15 +152,12 @@ class ExplanationService:
         self.causal = causal
         self.ensemble = ensemble
         self.robust_quorum = float(robust_quorum)
-        self.engine = engine
-        self.plan_backend = plan_backend
         self.fingerprint = pipeline.fingerprint
         #: kind -> (model identity, raw fingerprint) memo behind the
         #: ``*_fingerprint`` properties; see :meth:`_overlay_fingerprint`.
         self._fingerprint_memo = {}
         self._runner = None
         self._core_strategy = None
-        self._compiled_plan = None
         self.cache = LRUResultCache(cache_size)
         self._pending = []
         #: Guards the pending-ticket queue and the serving counters so a
@@ -204,16 +182,11 @@ class ExplanationService:
         cache_size=4096,
         strategy=None,
         overlays=None,
-        density=None,
         density_weight=1.0,
         density_candidates=8,
-        causal=None,
-        ensemble=None,
         robust_quorum=0.5,
         on_stale="raise",
         migrate_from=None,
-        engine="staged",
-        plan_backend="numpy",
         density_backend=None,
     ):
         """Build a service from a stored artifact without any training.
@@ -236,11 +209,8 @@ class ExplanationService:
                 overlays={"density": "store", "causal": causal_model},
             )
 
-        The per-kind keyword arguments (``density=``, ``causal=``,
-        ``ensemble=``) are deprecated aliases folded into ``overlays``;
-        passing a kind both ways is an error.  Raises the store's
-        ``ArtifactError``/``StaleArtifactError`` when the artifact is
-        missing, corrupted or stale.
+        Raises the store's ``ArtifactError``/``StaleArtifactError`` when
+        the artifact is missing, corrupted or stale.
 
         ``on_stale`` controls the rollover behaviour when
         ``expected_fingerprint`` no longer matches the stored artifact
@@ -279,21 +249,6 @@ class ExplanationService:
             raise ValueError(
                 f"unknown overlay kinds {unknown} in overlays; "
                 f"the service hosts {list(_SERVICE_OVERLAYS)}")
-        for kind, legacy in (("density", density), ("causal", causal),
-                             ("ensemble", ensemble)):
-            if legacy is None:
-                continue
-            if kind in overlays:
-                raise ValueError(
-                    f"overlay {kind!r} passed both as a keyword argument and "
-                    f"in overlays; use overlays only")
-            warnings.warn(
-                f"warm_start({kind}=...) is deprecated; pass "
-                f"overlays={{{kind!r}: ...}} instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            overlays[kind] = legacy
 
         try:
             pipeline = store.load(name, expected_fingerprint=expected_fingerprint)
@@ -332,8 +287,6 @@ class ExplanationService:
             causal=overlays.get("causal"),
             ensemble=overlays.get("ensemble"),
             robust_quorum=robust_quorum,
-            engine=engine,
-            plan_backend=plan_backend,
         )
         if migrate_from is not None:
             service.migrate_cache(migrate_from)
@@ -368,38 +321,18 @@ class ExplanationService:
         return self._runner
 
     @property
-    def plan(self):
-        """Compiled :class:`ExplainPlan` serving cache misses (plan engine only).
-
-        ``None`` on the staged engine.  Recompiled whenever the runner
-        is rebuilt or the served strategy is re-pointed, so the replayed
-        chain always matches the configuration the cache keys carry.
-        """
-        if self.engine != "plan":
-            return None
-        runner = self.runner
-        strategy = self.strategy or self.core_strategy
-        if (
-            self._compiled_plan is None
-            or self._compiled_plan.runner is not runner
-            or self._compiled_plan.strategy is not strategy
-        ):
-            self._compiled_plan = runner.compile(strategy, backend=self.plan_backend)
-        return self._compiled_plan
-
-    @property
     def core_strategy(self):
-        """Core strategy used when a model is served without a strategy.
+        """Core strategy answering requests when no strategy is served.
 
         Density-aware serving proposes a diverse latent sweep of
         ``density_candidates`` so the Figure 3 criterion has candidates
-        to rank; causal-only serving keeps the one-shot deterministic
-        decode (repair needs no diversity).
+        to rank; otherwise it is the one-shot deterministic decode
+        (causal repair and ensemble scoring need no diversity).  The one
+        exception is :meth:`flush` with no overlay hosted, which sweeps
+        its own ``n_candidates`` per ticket.
         """
         wanted = self.density_candidates if self.density is not None else 1
         if self._core_strategy is None or self._core_strategy.n_candidates != wanted:
-            from ..engine import CoreCFStrategy
-
             self._core_strategy = CoreCFStrategy(self.explainer, n_candidates=wanted)
         return self._core_strategy
 
@@ -482,40 +415,16 @@ class ExplanationService:
             "ensemble", self.ensemble, "none", suffix=f"@q{self.robust_quorum}")
 
     @property
-    def engine_fingerprint(self):
-        """Cache-key component of the execution path.
-
-        ``"staged"`` on the classic path; on the plan engine the
-        compiled plan's own fingerprint (which folds in the backend and
-        the traced chain), so plan-served rows never collide with
-        staged-served ones and a backend switch invalidates cleanly.
-        """
-        plan = self.plan
-        return "staged" if plan is None else f"plan-{plan.fingerprint()}"
-
-    @property
-    def _hosts_model(self):
-        """Whether cache-miss rows must route through the engine runner."""
-        return (
-            self.strategy is not None
-            or self.density is not None
-            or self.causal is not None
-            or self.ensemble is not None
-            or self.engine == "plan"
-        )
-
-    @property
     def cache_fingerprint(self):
         """Composite cache-key component:
-        ``pipeline:engine:strategy:density:causal:ensemble``.
+        ``pipeline:strategy:density:causal:ensemble``.
 
         Uses the pipeline fingerprint hashed once at construction —
         recomputing it per lookup would re-serialise the config and
         schema on every cached row.
         """
         return (
-            f"{self.fingerprint}:{self.engine_fingerprint}"
-            f":{self.strategy_fingerprint}"
+            f"{self.fingerprint}:{self.strategy_fingerprint}"
             f":{self.density_fingerprint}:{self.causal_fingerprint}"
             f":{self.ensemble_fingerprint}"
         )
@@ -577,9 +486,10 @@ class ExplanationService:
         """Explain many rows at once; returns a :class:`CFBatchResult`.
 
         Rows already in the cache are answered from memory; the remaining
-        rows are coalesced into a single vectorized pass through the
-        generator (one decode, one validity call, one feasibility call),
-        exactly the one-shot ``FeasibleCFExplainer.explain`` computation.
+        rows are coalesced into ONE engine-runner pass of the served
+        strategy (one proposal, one validity call, one feasibility call).
+        On the plain core path that is exactly the one-shot
+        ``FeasibleCFExplainer.explain`` computation.
         """
         rows = self._check_rows(rows)
         desired = self._resolve_desired(rows, desired)
@@ -603,21 +513,8 @@ class ExplanationService:
             miss = np.asarray(miss_indices)
             sub_rows = rows[miss]
             sub_desired = desired[miss]
-            if self._hosts_model:
-                # a hosted model without a strategy serves the core path
-                # through the runner (diverse sweep for density, one-shot
-                # decode for causal-only); the plan engine replays the
-                # compiled chain instead of the staged stages
-                sub = self.runner.run(
-                    self.strategy or self.core_strategy, sub_rows, sub_desired,
-                    plan=self.plan)
-                sub_cf, sub_predicted = sub.x_cf, sub.predicted
-                sub_feasible = sub.feasible
-            else:
-                generator = self.explainer.generator
-                sub_cf = generator.generate(sub_rows, sub_desired)
-                sub_predicted = self.explainer.blackbox.predict(sub_cf)
-                sub_feasible = self.explainer.compiled_constraints.satisfied(sub_rows, sub_cf)
+            sub = self.runner.run(self.strategy or self.core_strategy, sub_rows, sub_desired)
+            sub_cf, sub_predicted, sub_feasible = sub.x_cf, sub.predicted, sub.feasible
             x_cf[miss] = sub_cf
             predicted[miss] = sub_predicted
             feasible[miss] = sub_feasible
@@ -648,8 +545,8 @@ class ExplanationService:
 
         Single-row traffic is the worst case for a vectorized engine, so
         the service does not answer immediately: queued tickets are
-        resolved together by :meth:`flush` through ONE
-        ``generate_candidates`` call covering every pending row.
+        resolved together by :meth:`flush` through ONE engine-runner
+        pass covering every pending row.
         """
         row = np.asarray(row, dtype=np.float64).reshape(-1)
         check_encoded_rows(row.reshape(1, -1), self.encoder, "row")
@@ -667,15 +564,15 @@ class ExplanationService:
     def flush(self, n_candidates=8, rng=None):
         """Resolve every pending ticket with one vectorized sweep.
 
-        Stacks all queued rows and answers them in ONE pass.  On the
-        default core path that is a single
-        :func:`~repro.core.selection.generate_candidates` call (batched
-        decode + one validity call + one feasibility call) with the
-        closest valid & feasible candidate picked per ticket; a
-        strategy-configured service instead routes the stacked rows
-        through one engine-runner pass of its strategy, so tickets and
-        ``explain_batch`` always answer with the same method.  Returns
-        the resolved tickets.
+        Stacks all queued rows and answers them in ONE engine-runner
+        pass.  A served strategy or any hosted overlay answers with the
+        same strategy as :meth:`explain_batch`; the plain core path
+        instead proposes ``n_candidates`` latent perturbations per
+        ticket (drawn from ``rng``, the
+        :func:`~repro.core.selection.generate_candidates` stream) and
+        the closest valid & feasible candidate wins.  Each ticket
+        reports the black box's actual prediction for its
+        counterfactual.  Returns the resolved tickets.
         """
         # swap the queue atomically: a concurrent submit lands either in
         # this flush or the next one, never in both and never in neither
@@ -692,44 +589,23 @@ class ExplanationService:
             flipped = 1 - self.explainer.blackbox.predict(rows)
             desired = np.where(desired < 0, flipped, desired)
 
-        if self._hosts_model:
-            result, diagnostics = self.runner.run(
-                self.strategy or self.core_strategy, rows, desired,
-                return_diagnostics=True, plan=self.plan
-            )
-            for i, (ticket, target) in enumerate(zip(tickets, desired)):
-                ticket._result = {
-                    "x_cf": result.x_cf[i],
-                    "desired": int(target),
-                    "predicted": int(result.predicted[i]),
-                    "valid": bool(result.valid[i]),
-                    "feasible": bool(result.feasible[i]),
-                    "chosen": int(diagnostics["chosen"][i]),
-                    "n_usable": int(diagnostics["n_usable"][i]),
-                }
-        else:
-            candidate_sets = generate_candidates(
-                self.explainer,
-                rows,
-                n_candidates=n_candidates,
-                desired=desired,
-                rng=rng,
-            )
-            for ticket, candidate_set, target in zip(tickets, candidate_sets, desired):
-                index = _pick_candidate(candidate_set)
-                valid = bool(candidate_set.valid[index])
-                ticket._result = {
-                    "x_cf": candidate_set.candidates[index],
-                    "desired": int(target),
-                    # valid means predict == desired; binary classes make
-                    # the chosen candidate's prediction recoverable
-                    # without a second black-box call
-                    "predicted": int(target) if valid else 1 - int(target),
-                    "valid": valid,
-                    "feasible": bool(candidate_set.feasible[index]),
-                    "chosen": index,
-                    "n_usable": int(candidate_set.usable_mask.sum()),
-                }
+        strategy = self.strategy
+        if strategy is None:
+            if any(model is not None for model in (self.density, self.causal, self.ensemble)):
+                strategy = self.core_strategy
+            else:
+                strategy = CoreCFStrategy(self.explainer, n_candidates=n_candidates, rng=rng)
+        result, diagnostics = self.runner.run(strategy, rows, desired, return_diagnostics=True)
+        for i, (ticket, target) in enumerate(zip(tickets, desired)):
+            ticket._result = {
+                "x_cf": result.x_cf[i],
+                "desired": int(target),
+                "predicted": int(result.predicted[i]),
+                "valid": bool(result.valid[i]),
+                "feasible": bool(result.feasible[i]),
+                "chosen": int(diagnostics["chosen"][i]),
+                "n_usable": int(diagnostics["n_usable"][i]),
+            }
         with self._lock:
             self.flushes += 1
             self.rows_coalesced += len(tickets)
@@ -737,15 +613,14 @@ class ExplanationService:
 
     # -- execution-state sharing ----------------------------------------------
     def adopt_execution_from(self, sibling):
-        """Reuse a sibling replica's compiled execution state.
+        """Reuse a sibling replica's execution state.
 
         A scaled-out worker pool runs N services over ONE shared
         pipeline; without sharing, every replica would build its own
-        :class:`EngineRunner`, its own core strategy and — on the plan
-        engine — compile its own :class:`ExplainPlan`.  This adopts the
-        sibling's runner, core strategy and compiled plan so the pool
-        holds exactly one of each (the runner and plan keep all state at
-        construction time, so concurrent replay is safe).
+        :class:`EngineRunner` and its own core strategy.  This adopts
+        the sibling's runner and core strategy so the pool holds exactly
+        one of each (the runner keeps all state at construction time, so
+        concurrent runs are safe).
 
         Only legal between services hosting the *identical* model
         objects and execution configuration — anything else would let a
@@ -762,10 +637,6 @@ class ExplanationService:
             )
             if mine is not theirs
         ]
-        if self.engine != sibling.engine:
-            mismatched.append("engine")
-        if self.plan_backend != sibling.plan_backend:
-            mismatched.append("plan_backend")
         if (
             self.density_weight != sibling.density_weight
             or self.density_candidates != sibling.density_candidates
@@ -780,7 +651,6 @@ class ExplanationService:
         self._runner = sibling.runner
         if sibling.strategy is None:
             self._core_strategy = sibling.core_strategy
-        self._compiled_plan = sibling.plan
         return self
 
     # -- introspection --------------------------------------------------------
@@ -802,16 +672,3 @@ class ExplanationService:
         counters.update({f"cache_{k}": v for k, v in self.cache.stats.items()})
         return counters
 
-
-def _pick_candidate(candidate_set):
-    """Closest-by-L1 candidate, preferring valid & feasible, then valid.
-
-    Index 0 is the deterministic (zero-noise) decode, so the final
-    fallback degrades to exactly the one-shot explain output.
-    """
-    distances = np.abs(candidate_set.candidates - candidate_set.x[None, :]).sum(axis=1)
-    for mask in (candidate_set.usable_mask, candidate_set.valid):
-        if mask.any():
-            pool = np.flatnonzero(mask)
-            return int(pool[np.argmin(distances[pool])])
-    return 0

@@ -14,7 +14,7 @@ from repro.data import load_dataset
 from repro.engine import EngineRunner, build_strategy
 from repro.engine.runner import _select_candidates
 from repro.metrics import evaluate_counterfactuals
-from repro.serve.service import _pick_candidate
+from tests.helpers.serving import pick_candidate
 
 
 @pytest.fixture(scope="module")
@@ -156,7 +156,7 @@ class TestSelection:
             cs.valid = valid[i]
             cs.feasible = feasible[i]
             cs.usable_mask = valid[i] & feasible[i]
-            assert chosen[i] == _pick_candidate(cs)
+            assert chosen[i] == pick_candidate(cs)
 
     def test_fallback_is_deterministic_candidate(self):
         x = np.zeros((3, 4))

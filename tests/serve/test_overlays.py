@@ -1,11 +1,10 @@
 """Generic overlay registry: one save/load/has surface for every kind.
 
-The per-kind store triples (``save_density`` / ``save_causal`` /
-``save_ensemble`` and their load/has siblings) collapsed into
-``save_overlay(name, kind, model)`` dispatching through registered
-:class:`OverlayKind` entries.  These tests cover the generic surface,
-the kind registry, and the deprecation contract of all nine legacy
-wrappers (still working, each warning once per call).
+Every model overlay persists through ``save_overlay(name, kind, model)``
+/ ``load_overlay`` / ``has_overlay``, dispatching through registered
+:class:`OverlayKind` entries, and is served through the one
+``ExplanationService.warm_start(overlays={...})`` spec.  These tests
+cover the generic surface, the kind registry and the warm-start spec.
 """
 
 import numpy as np
@@ -13,6 +12,7 @@ import pytest
 
 from repro.serve import (
     ArtifactStore,
+    ExplanationService,
     OverlayKind,
     overlay_kinds,
     register_overlay_kind,
@@ -91,45 +91,31 @@ class TestGenericSurface:
             _OVERLAY_KINDS.pop("shadow", None)
 
 
-class TestDeprecatedWrappers:
-    """All nine legacy methods still work and warn."""
+@pytest.fixture(scope="module")
+def warm(saved, tiny_pipeline):
+    """A second artifact carrying a persisted density overlay."""
+    store, models = saved
+    store.save(tiny_pipeline, name="w")
+    store.save_overlay("w", "density", models["density"])
+    return store, models["density"]
 
-    def test_density_wrappers(self, saved):
-        store, models = saved
-        with pytest.warns(DeprecationWarning, match="save_overlay"):
-            store.save_density("t", models["density"])
-        with pytest.warns(DeprecationWarning, match="has_overlay"):
-            assert store.has_density("t")
-        with pytest.warns(DeprecationWarning, match="load_overlay"):
-            loaded = store.load_density("t")
-        assert loaded.fingerprint() == models["density"].fingerprint()
 
-    def test_causal_wrappers(self, saved, tiny_pipeline):
-        store, models = saved
-        with pytest.warns(DeprecationWarning, match="save_overlay"):
-            store.save_causal("t", models["causal"])
-        with pytest.warns(DeprecationWarning, match="has_overlay"):
-            assert store.has_causal("t")
-        with pytest.warns(DeprecationWarning, match="load_overlay"):
-            loaded = store.load_causal("t", encoder=tiny_pipeline.encoder)
-        assert loaded.fingerprint() == models["causal"].fingerprint()
+class TestWarmStartOverlays:
+    def test_overlays_spec_loads_from_store(self, warm):
+        store, density = warm
+        service = ExplanationService.warm_start(
+            store, "w", overlays={"density": "store"})
+        assert service.density is not None
+        assert service.density.fingerprint() == density.fingerprint()
 
-    def test_ensemble_wrappers(self, saved):
-        store, models = saved
-        with pytest.warns(DeprecationWarning, match="save_overlay"):
-            store.save_ensemble("t", models["ensemble"])
-        with pytest.warns(DeprecationWarning, match="has_overlay"):
-            assert store.has_ensemble("t")
-        with pytest.warns(DeprecationWarning, match="load_overlay"):
-            loaded = store.load_ensemble("t")
-        assert loaded.fingerprint() == models["ensemble"].fingerprint()
+    def test_overlays_spec_accepts_fitted_models(self, warm):
+        store, density = warm
+        service = ExplanationService.warm_start(
+            store, "w", overlays={"density": density})
+        assert service.density is density
 
-    def test_wrappers_match_generic_results(self, saved):
-        store, models = saved
-        store.save_overlay("t", "density", models["density"])
-        with pytest.warns(DeprecationWarning):
-            legacy = store.load_density("t")
-        generic = store.load_overlay("t", "density")
-        probe = models["density"].reference_[:7] + 0.05
-        np.testing.assert_array_equal(
-            legacy.score(probe), generic.score(probe))
+    def test_unknown_overlay_kind_rejected(self, warm):
+        store, _ = warm
+        with pytest.raises(ValueError, match="unknown overlay kinds"):
+            ExplanationService.warm_start(
+                store, "w", overlays={"hologram": "store"})

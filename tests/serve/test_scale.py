@@ -95,11 +95,10 @@ class TestWorkerPool:
             assert entry["mean_batch_size"] >= 0.0
 
     def test_pool_compiles_one_execution_state(self, store):
-        with WorkerPool(store, "tiny", n_replicas=3, engine="plan") as pool:
+        with WorkerPool(store, "tiny", n_replicas=3) as pool:
             leader = pool.replicas[0].service
             for replica in pool.replicas[1:]:
                 assert replica.service.runner is leader.runner
-                assert replica.service.plan is leader.plan
                 assert replica.service.core_strategy is leader.core_strategy
                 assert replica.service.pipeline is leader.pipeline
 
@@ -143,17 +142,16 @@ class TestAdoptExecution:
         sibling = ExplanationService(tiny_pipeline, density_weight=2.0)
         with pytest.raises(ValueError, match="density configuration"):
             sibling.adopt_execution_from(leader)
-        other_engine = ExplanationService(tiny_pipeline, engine="plan")
-        with pytest.raises(ValueError, match="engine"):
-            other_engine.adopt_execution_from(leader)
+        other_quorum = ExplanationService(tiny_pipeline, robust_quorum=0.75)
+        with pytest.raises(ValueError, match="robust_quorum"):
+            other_quorum.adopt_execution_from(leader)
 
-    def test_adopts_runner_strategy_and_plan(self, tiny_pipeline):
-        leader = ExplanationService(tiny_pipeline, engine="plan")
-        sibling = ExplanationService(tiny_pipeline, engine="plan")
+    def test_adopts_runner_and_core_strategy(self, tiny_pipeline):
+        leader = ExplanationService(tiny_pipeline)
+        sibling = ExplanationService(tiny_pipeline)
         assert sibling.adopt_execution_from(leader) is sibling
         assert sibling.runner is leader.runner
         assert sibling.core_strategy is leader.core_strategy
-        assert sibling.plan is leader.plan
 
 
 class TestThreadSafety:

@@ -168,10 +168,10 @@ def test_corrupted_ensemble_artifacts_fail_structured(surfaces, tmp_path):
     for trial in range(N_TRIALS):
         store = ArtifactStore(tmp_path / f"fuzz{trial}")
         store.save(pipeline, name="tiny")
-        store.save_ensemble("tiny", ensemble)
+        store.save_overlay("tiny", "ensemble", ensemble)
         corrupt_ensemble_artifact(rng, store.artifact_dir("tiny"))
         with pytest.raises(ArtifactError):
-            store.load_ensemble("tiny")
+            store.load_overlay("tiny", "ensemble")
 
 
 def test_fuzz_never_mutates_service_state(surfaces):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.serve import ArtifactStore, ExplanationService
+from tests.helpers.serving import pick_candidate
 
 
 @pytest.fixture()
@@ -93,7 +94,6 @@ class TestMicroBatching:
 
     def test_flush_matches_direct_candidate_sweep(self, service, explain_rows):
         from repro.core import generate_candidates
-        from repro.serve.service import _pick_candidate
 
         rows = explain_rows[:4]
         tickets = [service.submit(row) for row in rows]
@@ -108,10 +108,12 @@ class TestMicroBatching:
             rng=np.random.default_rng(3),
         )
         for ticket, candidate_set in zip(tickets, candidate_sets):
-            index = _pick_candidate(candidate_set)
+            index = pick_candidate(candidate_set)
             assert np.array_equal(
                 ticket.result()["x_cf"], candidate_set.candidates[index]
             )
+            assert ticket.result()["predicted"] == service.explainer.blackbox.predict(
+                ticket.result()["x_cf"][None, :])[0]
 
     def test_explicit_desired_ticket(self, service, explain_rows):
         ticket = service.submit(explain_rows[0], desired=1)

@@ -33,11 +33,11 @@ def tiny_ensemble(tiny_pipeline):
 class TestEnsembleOverlay:
     def test_round_trip_preserves_fingerprint_and_scores(self, saved, tiny_ensemble):
         store, pipeline = saved
-        assert not store.has_ensemble("tiny")
-        store.save_ensemble("tiny", tiny_ensemble)
-        assert store.has_ensemble("tiny")
+        assert not store.has_overlay("tiny", "ensemble")
+        store.save_overlay("tiny", "ensemble", tiny_ensemble)
+        assert store.has_overlay("tiny", "ensemble")
 
-        loaded = store.load_ensemble("tiny")
+        loaded = store.load_overlay("tiny", "ensemble")
         assert loaded.fingerprint() == tiny_ensemble.fingerprint()
         assert loaded.n_members == tiny_ensemble.n_members
         x = pipeline.bundle.encoded[:12]
@@ -47,45 +47,45 @@ class TestEnsembleOverlay:
     def test_save_requires_existing_artifact(self, tmp_path, tiny_ensemble):
         store = ArtifactStore(tmp_path / "empty")
         with pytest.raises(ArtifactError, match="save the pipeline first"):
-            store.save_ensemble("ghost", tiny_ensemble)
+            store.save_overlay("ghost", "ensemble", tiny_ensemble)
 
     def test_load_missing_overlay_raises(self, saved):
         store, _ = saved
         with pytest.raises(ArtifactError, match="no ensemble state"):
-            store.load_ensemble("tiny")
+            store.load_overlay("tiny", "ensemble")
 
     def test_corrupted_npz_fails_checksum(self, saved, tiny_ensemble):
         store, _ = saved
-        store.save_ensemble("tiny", tiny_ensemble)
+        store.save_overlay("tiny", "ensemble", tiny_ensemble)
         (store.artifact_dir("tiny") / "ensemble.npz").write_bytes(b"gandalf")
         with pytest.raises(ArtifactError, match="checksum"):
-            store.load_ensemble("tiny")
+            store.load_overlay("tiny", "ensemble")
 
     def test_tampered_state_is_stale(self, saved, tiny_ensemble):
         store, _ = saved
-        store.save_ensemble("tiny", tiny_ensemble)
+        store.save_overlay("tiny", "ensemble", tiny_ensemble)
         meta_path = store.artifact_dir("tiny") / "ensemble.json"
         meta = json.loads(meta_path.read_text())
         meta["state"]["seed"] = 777  # drifted knob, stale fingerprint
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(StaleArtifactError, match="stale"):
-            store.load_ensemble("tiny")
+            store.load_overlay("tiny", "ensemble")
 
     def test_wrong_format_version_is_stale(self, saved, tiny_ensemble):
         store, _ = saved
-        store.save_ensemble("tiny", tiny_ensemble)
+        store.save_overlay("tiny", "ensemble", tiny_ensemble)
         meta_path = store.artifact_dir("tiny") / "ensemble.json"
         meta = json.loads(meta_path.read_text())
         meta["format_version"] = 99
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(StaleArtifactError, match="format_version"):
-            store.load_ensemble("tiny")
+            store.load_overlay("tiny", "ensemble")
 
     def test_expected_fingerprint_mismatch_is_stale(self, saved, tiny_ensemble):
         store, _ = saved
-        store.save_ensemble("tiny", tiny_ensemble)
+        store.save_overlay("tiny", "ensemble", tiny_ensemble)
         with pytest.raises(StaleArtifactError, match="does not match"):
-            store.load_ensemble("tiny", expected_fingerprint="bogus")
+            store.load_overlay("tiny", "ensemble", expected_fingerprint="bogus")
 
 
 class TestStructuredStaleErrors:
@@ -131,9 +131,9 @@ class TestStructuredStaleErrors:
         from repro.serve.store import ARTIFACT_FORMAT_VERSION
 
         store, _ = saved
-        store.save_ensemble("tiny", tiny_ensemble)
+        store.save_overlay("tiny", "ensemble", tiny_ensemble)
         with pytest.raises(StaleArtifactError) as info:
-            store.load_ensemble("tiny", expected_fingerprint="bogus")
+            store.load_overlay("tiny", "ensemble", expected_fingerprint="bogus")
         assert info.value.expected == "bogus"
         assert info.value.found == tiny_ensemble.fingerprint()
 
@@ -142,7 +142,7 @@ class TestStructuredStaleErrors:
         meta["format_version"] = 99
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(StaleArtifactError) as info:
-            store.load_ensemble("tiny")
+            store.load_overlay("tiny", "ensemble")
         assert info.value.expected == ARTIFACT_FORMAT_VERSION
         assert info.value.found == 99
 
@@ -157,8 +157,8 @@ class TestEnsembleAwareServing:
     def test_warm_start_from_store_serves_with_cross_model_scores(
             self, saved, tiny_ensemble, explain_rows):
         store, pipeline = saved
-        store.save_ensemble("tiny", tiny_ensemble)
-        service = ExplanationService.warm_start(store, "tiny", ensemble="store")
+        store.save_overlay("tiny", "ensemble", tiny_ensemble)
+        service = ExplanationService.warm_start(store, "tiny", overlays={"ensemble": "store"})
         assert service.ensemble.fingerprint() == tiny_ensemble.fingerprint()
         result = service.explain_batch(explain_rows)
         assert len(result) == len(explain_rows)
