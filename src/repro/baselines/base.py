@@ -21,7 +21,7 @@ import numpy as np
 
 from ..constraints import ImmutableProjector
 from ..engine.strategy import CandidateBatch, CFStrategy
-from ..utils.validation import check_encoded_rows
+from ..utils.validation import check_encoded_rows, resolve_desired
 
 __all__ = ["BaseCFExplainer"]
 
@@ -98,13 +98,7 @@ class BaseCFExplainer(CFStrategy):
         if not self._fitted:
             raise RuntimeError(f"{self.name} is not fitted; call fit() first")
         x = self._check_rows(x, "x")
-        if desired is None:
-            desired = 1 - self.blackbox.predict(x)
-        else:
-            desired = np.asarray(desired, dtype=int)
-            if len(desired) != len(x):
-                raise ValueError(
-                    f"desired ({len(desired)}) and x ({len(x)}) row counts differ")
+        desired = resolve_desired(self.blackbox, x, desired)
         x_cf = np.asarray(self._generate(x, desired), dtype=np.float64)
         return CandidateBatch(x=x, desired=desired,
                               candidates=x_cf[:, None, :])

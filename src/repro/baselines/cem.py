@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import Tensor, hinge_loss
+from ..nn import Tensor, freeze_parameters, hinge_loss, restore_parameters
 from .base import BaseCFExplainer
 
 __all__ = ["CEMExplainer"]
@@ -52,8 +52,15 @@ class CEMExplainer(BaseCFExplainer):
         """CEM needs no training — it only queries the classifier."""
 
     def _generate(self, x, desired):
-        for parameter in self.blackbox.parameters():
-            parameter.requires_grad = False
+        # gradients flow through the shared black box into delta only;
+        # the flags are restored so the black box stays retrainable
+        flags = freeze_parameters(self.blackbox)
+        try:
+            return self._search(x, desired)
+        finally:
+            restore_parameters(flags)
+
+    def _search(self, x, desired):
         delta = np.zeros_like(x)
         mutable = ~self.projector.mask
         best = x.copy()

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..models import ConditionalVAE, train_reconstruction_vae
-from ..nn import Adam, Tensor, hinge_loss, no_grad
+from ..nn import Adam, Tensor, freeze_parameters, hinge_loss, no_grad, restore_parameters
 from .base import BaseCFExplainer
 
 __all__ = ["ReviseExplainer"]
@@ -59,10 +59,15 @@ class ReviseExplainer(BaseCFExplainer):
             lr=3e-3, beta=0.02, rng=np.random.default_rng(self.seed + 2))
 
     def _generate(self, x, desired):
-        for parameter in self.vae.parameters():
-            parameter.requires_grad = False
-        for parameter in self.blackbox.parameters():
-            parameter.requires_grad = False
+        # gradients flow through the VAE and the shared black box into z
+        # only; the flags are restored so the black box stays retrainable
+        flags = freeze_parameters(self.vae, self.blackbox)
+        try:
+            return self._search(x, desired)
+        finally:
+            restore_parameters(flags)
+
+    def _search(self, x, desired):
         self.vae.eval()
         zeros = np.zeros(len(x))
 

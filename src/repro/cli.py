@@ -356,8 +356,7 @@ def _run_serve_demo(dataset, scale, seed, out_dir, artifact_dir, rows,
             pool.close()
         table_rows.append(
             ["warm-start pool", pool_warm_seconds,
-             f"{pool.n_replicas} replicas, shared weights "
-             f"{pool_stats['aggregate']['shared_weight_bytes']} bytes"])
+             f"{pool.n_replicas} replicas, {pool.backend} backend"])
         table_rows.append(
             [mode, pool_seconds,
              f"{len(batch)} rows, validity {validity:.2f}"])

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn import SGD, Adam, Tensor
-from ..utils.validation import check_2d
+from ..utils.validation import check_2d, resolve_desired
 from .losses import FourPartLoss
 
 __all__ = ["CFVAEGenerator"]
@@ -78,27 +78,6 @@ class CFVAEGenerator:
         generator._fitted = True
         return generator
 
-    # -- helpers -----------------------------------------------------------
-    def _desired_classes(self, x, desired):
-        """Default desired class: the opposite of the black-box prediction.
-
-        Scalars broadcast to every row (like the engine and serving
-        APIs); anything that is not a scalar or a matching 1-D vector
-        raises a clean ``ValueError``.
-        """
-        if desired is None:
-            return 1 - self.blackbox.predict(x)
-        desired = np.asarray(desired)
-        if desired.ndim == 0:
-            return np.full(len(x), int(desired), dtype=int)
-        if desired.ndim != 1:
-            raise ValueError(
-                f"desired must be a scalar or 1-D vector, got shape {desired.shape}")
-        if len(desired) != len(x):
-            raise ValueError(
-                f"desired ({len(desired)}) and x ({len(x)}) row counts differ")
-        return desired.astype(int)
-
     def _generate_batch(self, x, desired, perturb):
         """One differentiable pass input -> counterfactual Tensor."""
         mu, log_var = self.vae.encode(Tensor(x), desired)
@@ -156,7 +135,7 @@ class CFVAEGenerator:
         """
         x = check_2d(x, "x")  # rejects empty batches with a clean ValueError
         cfg = self.config.scaled_for(len(x))
-        desired = self._desired_classes(x, desired)
+        desired = resolve_desired(self.blackbox, x, desired)
 
         if self.history:
             self.history_segments.append(self.history)
@@ -242,7 +221,7 @@ class CFVAEGenerator:
         if not self._fitted:
             raise RuntimeError("generator is not fitted; call fit() first")
         x = check_2d(x, "x")
-        desired = self._desired_classes(x, desired)
+        desired = resolve_desired(self.blackbox, x, desired)
         self.vae.eval()
         z, _ = self.vae.encode_array(x, desired)
         if perturb and self.config.latent_noise:

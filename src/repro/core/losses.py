@@ -16,7 +16,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import Tensor, as_tensor, gaussian_kl, hinge_loss
+from ..nn import (
+    Tensor,
+    as_tensor,
+    freeze_parameters,
+    gaussian_kl,
+    hinge_loss,
+    restore_parameters,
+)
 
 __all__ = ["sparsity_penalty", "FourPartLoss"]
 
@@ -95,13 +102,9 @@ class FourPartLoss:
         backward time, so releasing early would leak gradients into the
         classifier.
         """
+        flags = freeze_parameters(self.blackbox)
         if self._prior_flags is None:
-            self._prior_flags = [
-                (tensor, tensor.requires_grad)
-                for _, tensor in self.blackbox.named_parameters(include_frozen=True)
-            ]
-        for tensor, _ in self._prior_flags:
-            tensor.requires_grad = False
+            self._prior_flags = flags
         return self
 
     def release(self):
@@ -113,8 +116,7 @@ class FourPartLoss:
         """
         if self._prior_flags is None:
             return self
-        for tensor, flag in self._prior_flags:
-            tensor.requires_grad = flag
+        restore_parameters(self._prior_flags)
         self._prior_flags = None
         return self
 

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..utils.validation import resolve_desired
+
 __all__ = [
     "STRATEGY_NAMES",
     "CFStrategy",
@@ -158,12 +160,7 @@ class CoreCFStrategy(CFStrategy):
         if generator is None:
             raise RuntimeError(f"{self.name} is not fitted; call fit() first")
         x = explainer._check_rows(x, "x")
-        if desired is None:
-            desired = 1 - explainer.blackbox.predict(x)
-        else:
-            desired = np.asarray(desired, dtype=int)
-            if len(desired) != len(x):
-                raise ValueError(f"desired ({len(desired)}) and x ({len(x)}) row counts differ")
+        desired = resolve_desired(explainer.blackbox, x, desired)
 
         from ..core.selection import candidate_noise_defaults, perturb_latents
 

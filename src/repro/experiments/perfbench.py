@@ -103,6 +103,7 @@ from ..core import FeasibleCFExplainer, fast_config
 from ..core.selection import generate_candidates
 from ..data import load_dataset
 from ..models import BlackBoxClassifier, train_classifier
+from ..utils.validation import resolve_desired
 
 __all__ = ["INLOSS_CAUSAL_TOLERANCE", "INLOSS_DENSITY_QUANTILE",
            "MIN_ANN_RECALL", "MIN_ANN_SPEEDUP", "MIN_CAUSAL_SPEEDUP",
@@ -565,7 +566,7 @@ def _robust_section(bundle, spec, min_seconds, seed):
             f"fused ensemble-scoring speedup {speedup:.2f}x is below the "
             f"{MIN_ROBUST_SPEEDUP}x floor")
 
-    desired = 1 - ensemble.predict(batch)
+    desired = resolve_desired(ensemble, batch, None)
     agreement_rate, _ = _throughput(
         lambda: ensemble.agreement(batch, desired), len(batch), min_seconds)
 
@@ -653,7 +654,7 @@ def _plan_section(explainer, bundle, spec, min_seconds, seed):
     sweep = np.clip(
         x[:, None, :] + rng.normal(0.0, 0.08, (n, m, x.shape[1])), 0.0, 1.0)
     strategy = _FixedSweepStrategy(zip(x, sweep))
-    desired = 1 - explainer.blackbox.predict(x)
+    desired = resolve_desired(explainer.blackbox, x, None)
 
     x_train, _ = bundle.split("train")
     causal = ScmCausalModel(bundle.encoder).fit(x_train)
@@ -945,7 +946,7 @@ def _serve_scale_section(spec, seed, replica_counts=None):
                 f"got {len(rows)}")
         # explicit targets keep the timed hot path free of per-request
         # black-box flips (one batched predict here instead)
-        desired = 1 - pipeline.explainer.blackbox.predict(rows)
+        desired = resolve_desired(pipeline.explainer.blackbox, rows, None)
 
         # synchronous reference for the single-replica parity contract
         sync = ExplanationService.warm_start(store, "bench-scale",
@@ -993,7 +994,6 @@ def _serve_scale_section(spec, seed, replica_counts=None):
                     "p50_ms": round(float(np.percentile(latencies_ms, 50)), 3),
                     "p99_ms": round(float(np.percentile(latencies_ms, 99)), 3),
                     "hit_rate": round(aggregate["hit_rate"], 4),
-                    "shared_weight_bytes": aggregate["shared_weight_bytes"],
                 })
 
     by_count = {entry["replicas"]: entry for entry in per_count}
@@ -1060,7 +1060,7 @@ def run_perfbench(scale="smoke", seed=0):
 
     # -- candidate-generation throughput -----------------------------------
     x_explain = x_train[:spec["candidate_rows"]]
-    desired = 1 - explainer.blackbox.predict(x_explain)
+    desired = resolve_desired(explainer.blackbox, x_explain, None)
 
     def candidates_once():
         generate_candidates(explainer, x_explain,

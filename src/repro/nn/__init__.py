@@ -7,7 +7,17 @@ autograd, layer modules, losses, optimisers and serialisation.
 
 from . import functional
 from .init import he_uniform, xavier_uniform, zeros
-from .layers import Dropout, Linear, Module, ReLU, Sequential, Sigmoid, Tanh
+from .layers import (
+    Dropout,
+    Linear,
+    Module,
+    ReLU,
+    Sequential,
+    Sigmoid,
+    Tanh,
+    freeze_parameters,
+    restore_parameters,
+)
 from .losses import (
     bce_with_logits,
     cross_entropy,
@@ -37,6 +47,7 @@ __all__ = [
     "linear", "functional",
     "get_default_dtype", "set_default_dtype", "dtype_scope",
     "Module", "Linear", "ReLU", "Sigmoid", "Tanh", "Dropout", "Sequential",
+    "freeze_parameters", "restore_parameters",
     "bce_with_logits", "cross_entropy", "hinge_loss", "l1_loss", "mse_loss",
     "gaussian_kl", "logsumexp", "softmax",
     "Optimizer", "SGD", "Adam",

@@ -14,7 +14,33 @@ from . import functional
 from .init import he_uniform, xavier_uniform, zeros
 from .tensor import Tensor, as_tensor, linear, no_grad
 
-__all__ = ["Module", "Linear", "ReLU", "Sigmoid", "Tanh", "Dropout", "Sequential"]
+__all__ = ["Module", "Linear", "ReLU", "Sigmoid", "Tanh", "Dropout", "Sequential",
+           "freeze_parameters", "restore_parameters"]
+
+
+def freeze_parameters(*modules):
+    """Switch off ``requires_grad`` on every parameter of ``modules``.
+
+    Returns the prior ``(tensor, flag)`` pairs, frozen parameters
+    included, for :func:`restore_parameters`: a model shared with the
+    rest of the system (a trained black box) is frozen only for as long
+    as one search or training loop differentiates through it, and stays
+    retrainable afterwards.
+    """
+    flags = [
+        (tensor, tensor.requires_grad)
+        for module in modules
+        for _, tensor in module.named_parameters(include_frozen=True)
+    ]
+    for tensor, _ in flags:
+        tensor.requires_grad = False
+    return flags
+
+
+def restore_parameters(flags):
+    """Restore the ``requires_grad`` flags :func:`freeze_parameters` recorded."""
+    for tensor, flag in flags:
+        tensor.requires_grad = flag
 
 
 class Module:

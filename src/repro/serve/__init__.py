@@ -10,17 +10,16 @@ servable system:
   and the one :func:`fingerprint_state` hashing recipe behind it.
 * :mod:`repro.serve.store` -- :class:`ArtifactStore`, versioned on-disk
   persistence of trained pipelines with fingerprinted manifests, plus
-  the generic overlay registry (``save_overlay`` / ``load_overlay``)
-  for the model state persisted next to them.
+  one ``save_overlay`` / ``load_overlay`` surface over the fixed table
+  of overlay kinds (density, causal, ensemble) persisted next to them.
 * :mod:`repro.serve.service` -- :class:`ExplanationService`, warm-start
   batch serving with an LRU result cache and single-row micro-batching.
 * :mod:`repro.serve.cache` -- the thread-safe LRU cache primitive.
 * :mod:`repro.serve.scale` -- the horizontally scaled tier:
-  :class:`WorkerPool` (N warm replicas, one shared pipeline, one
+  :class:`WorkerPool` (N warm replicas from
+  :meth:`ExplanationService.replicate`: one copy of the weights, one
   engine runner) behind :class:`AsyncExplanationService` (asyncio
   request coalescing).
-* :mod:`repro.serve.shm` -- shared-memory model weights, one physical
-  copy across every replica.
 * :mod:`repro.serve.routing` -- consistent-hash request routing that
   keeps replica-local caches hot as the pool scales.
 """
@@ -37,20 +36,12 @@ from .pipeline import (
 from .routing import ConsistentHashRing, request_key
 from .scale import AsyncExplanationService, WorkerPool
 from .service import ExplainTicket, ExplanationService, PendingTicketError
-from .shm import (
-    SharedWeights,
-    attach_module,
-    attach_pipeline,
-    pipeline_weight_arrays,
-)
 from .store import (
     ARTIFACT_FORMAT_VERSION,
     ArtifactError,
     ArtifactStore,
-    OverlayKind,
     StaleArtifactError,
     overlay_kinds,
-    register_overlay_kind,
 )
 
 __all__ = [
@@ -62,20 +53,15 @@ __all__ = [
     "ExplainTicket",
     "ExplanationService",
     "LRUResultCache",
-    "OverlayKind",
     "PendingTicketError",
     "Persistable",
-    "SharedWeights",
     "StaleArtifactError",
     "TrainedPipeline",
     "WorkerPool",
-    "attach_module",
-    "attach_pipeline",
     "fingerprint_state",
     "load_bundle",
     "overlay_kinds",
     "pipeline_fingerprint",
-    "register_overlay_kind",
     "request_key",
     "train_pipeline",
     "train_shared_blackbox",

@@ -8,7 +8,7 @@ replica a stable shard of the key space, so aggregate cache capacity
 *grows* with the replica count instead of being wasted on duplicates.
 
 Keys are the serving tier's natural cache identity: the service's
-composite ``pipeline:engine:strategy:density:causal:ensemble``
+composite ``pipeline:strategy:density:causal:ensemble``
 fingerprint plus the encoded row bytes and the desired class — exactly
 the triple the replica-local :class:`~repro.serve.cache.LRUResultCache`
 keys on.  Hashing the fingerprint into the key means two pools serving

@@ -6,21 +6,21 @@ fleet.  Three pieces compose:
 * :class:`WorkerPool` — N warm replicas over ONE shared trained
   pipeline.  The leader replica warm-starts from the
   :class:`~repro.serve.store.ArtifactStore` through the standard
-  ``warm_start(overlays={...})`` contract; siblings wrap the same
-  pipeline object and adopt the leader's execution state (engine
-  runner and core strategy) — so the pool builds ONE runner, not N.
-  With ``shared_weights=True`` every model array lives in one
-  :class:`~repro.serve.shm.SharedWeights` segment and replicas hold
-  zero-copy views.  Requests shard across replicas by
+  ``warm_start(overlays={...})`` contract; siblings come from
+  :meth:`ExplanationService.replicate`, which shares the leader's
+  pipeline, hosted models, engine runner and core strategy — so the
+  pool holds ONE copy of the weights and builds ONE runner, not N.
+  Requests shard across replicas by
   :class:`~repro.serve.routing.ConsistentHashRing` over the composite
   cache fingerprint plus row bytes, so each replica's LRU cache owns a
   stable slice of the key space and aggregate cache capacity grows with
   the replica count.
 * backend seam — ``backend="thread"`` (default) drives each replica's
   service on a pool thread in-process; ``backend="process"`` forks one
-  worker process per replica (weights stay shared through the shm
-  segment) and speaks to it over a pipe.  Both backends answer through
-  the same replica protocol, so everything above the seam is identical.
+  worker process per replica (fork's copy-on-write keeps the weights
+  shared) and speaks to it over a pipe.  Both backends answer every op
+  through the one :func:`_serve_op` dispatch, so everything above the
+  seam is identical.
 * :class:`AsyncExplanationService` — an asyncio front for single-row
   traffic.  ``await front.explain(row)`` enqueues the request, coalesces
   arrivals for ``coalesce_window`` seconds (or until ``max_batch``),
@@ -34,17 +34,37 @@ fleet.  Three pieces compose:
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from ..core.result import CFBatchResult
+from ..utils.validation import resolve_desired
 from .routing import ConsistentHashRing, request_key
 from .service import ExplanationService, PendingTicketError
-from .shm import SharedWeights, attach_pipeline, pipeline_weight_arrays
 
 __all__ = ["AsyncExplanationService", "WorkerPool"]
+
+
+def _serve_op(service, flush_kwargs, op, rows=None, desired=None):
+    """Answer one replica op on ``service``: the one replica protocol.
+
+    ``"explain"`` runs a batch through ``explain_batch``, ``"flush"``
+    submits one ticket per row and answers them with ONE flush, and
+    ``"stats"`` reads the serving counters.
+    """
+    if op == "explain":
+        result = service.explain_batch(rows, desired)
+        return result.x_cf, result.predicted, result.feasible
+    if op == "flush":
+        tickets = [service.submit(row, target) for row, target in zip(rows, desired)]
+        service.flush(**flush_kwargs)
+        return [ticket.result() for ticket in tickets]
+    if op == "stats":
+        return service.stats
+    raise ValueError(f"unknown replica op {op!r}")
 
 
 class _ThreadReplica:
@@ -54,26 +74,14 @@ class _ThreadReplica:
         self.service = service
         self._flush_kwargs = flush_kwargs
         # serializes submit/flush rounds: without it, two concurrent
-        # flush_rows calls could interleave so one call's flush captures
-        # the other's freshly submitted tickets and returns before they
+        # flush ops could interleave so one op's flush captures the
+        # other's freshly submitted tickets and returns before they
         # resolve
         self._lock = threading.Lock()
 
-    def explain_batch(self, rows, desired):
-        result = self.service.explain_batch(rows, desired)
-        return result.x_cf, result.predicted, result.feasible
-
-    def flush_rows(self, rows, desired):
-        with self._lock:
-            tickets = [
-                self.service.submit(row, int(target))
-                for row, target in zip(rows, desired)
-            ]
-            self.service.flush(**self._flush_kwargs)
-        return [ticket.result() for ticket in tickets]
-
-    def stats(self):
-        return self.service.stats
+    def call(self, op, *args):
+        with self._lock if op == "flush" else contextlib.nullcontext():
+            return _serve_op(self.service, self._flush_kwargs, op, *args)
 
     def close(self):
         pass
@@ -88,25 +96,10 @@ def _replica_worker(connection, service, flush_kwargs):
             message = connection.recv()
         except EOFError:
             break
-        op = message[0]
-        if op == "close":
+        if message[0] == "close":
             break
         try:
-            if op == "explain":
-                result = service.explain_batch(message[1], message[2])
-                payload = (result.x_cf, result.predicted, result.feasible)
-            elif op == "flush":
-                tickets = [
-                    service.submit(row, int(target))
-                    for row, target in zip(message[1], message[2])
-                ]
-                service.flush(**flush_kwargs)
-                payload = [ticket.result() for ticket in tickets]
-            elif op == "stats":
-                payload = service.stats
-            else:
-                raise ValueError(f"unknown replica op {op!r}")
-            connection.send(("ok", payload))
+            connection.send(("ok", _serve_op(service, flush_kwargs, *message)))
         except Exception:
             connection.send(("error", traceback.format_exc()))
     connection.close()
@@ -116,8 +109,8 @@ class _ProcessReplica:
     """One replica served by a forked worker process over a pipe.
 
     Forked from the fully warm parent, so the replica starts serving
-    without reloading anything; the shared-memory weight segment keeps
-    the model arrays physically shared across address spaces.
+    without reloading anything, and copy-on-write keeps the model
+    arrays physically shared with the parent.
     """
 
     def __init__(self, context, service, flush_kwargs):
@@ -131,22 +124,13 @@ class _ProcessReplica:
         child_conn.close()
         self._lock = threading.Lock()
 
-    def _call(self, *message):
+    def call(self, op, *args):
         with self._lock:
-            self._parent_conn.send(message)
+            self._parent_conn.send((op, *args))
             status, payload = self._parent_conn.recv()
         if status == "error":
             raise RuntimeError(f"replica process failed:\n{payload}")
         return payload
-
-    def explain_batch(self, rows, desired):
-        return self._call("explain", rows, desired)
-
-    def flush_rows(self, rows, desired):
-        return self._call("flush", rows, desired)
-
-    def stats(self):
-        return self._call("stats")
 
     def close(self):
         try:
@@ -179,16 +163,14 @@ class WorkerPool:
     overlays, strategy, cache_size, density_weight, density_candidates,
     robust_quorum:
         Forwarded to :meth:`ExplanationService.warm_start` for the
-        leader; siblings replicate the exact configuration and share the
-        leader's hosted model objects.
+        leader; siblings are :meth:`ExplanationService.replicate` copies
+        of it.
     shared_weights:
-        Publish every model array (black-box, CF-VAE, overlay arrays)
-        into one shared-memory segment and bind all replicas to
-        zero-copy views (default).  ``False`` keeps plain per-pipeline
-        arrays (still one copy on the thread backend, copy-on-write on
-        the process backend).
-    ring_points:
-        Virtual nodes per replica on the hash ring.
+        Only ``False`` is accepted: replicas already share one copy of
+        the weights (thread replicas hold the leader's objects, forked
+        replicas share them copy-on-write), so there is nothing left to
+        switch on.  The keyword remains only because the repo benchmark
+        (``sysbench/serve.py``) passes ``shared_weights=False``.
     flush_kwargs:
         Keyword arguments for each replica's ``flush`` (e.g.
         ``{"n_candidates": 8}`` on the core path).
@@ -206,10 +188,13 @@ class WorkerPool:
         density_weight=1.0,
         density_candidates=8,
         robust_quorum=0.5,
-        shared_weights=True,
-        ring_points=64,
+        shared_weights=False,
         flush_kwargs=None,
     ):
+        if shared_weights:
+            raise ValueError(
+                "shared_weights=True is no longer supported: replicas already "
+                "share one copy of the weights")
         if backend not in ("thread", "process"):
             raise ValueError(
                 f'backend must be "thread" or "process", got {backend!r}')
@@ -230,32 +215,7 @@ class WorkerPool:
             density_candidates=density_candidates,
             robust_quorum=robust_quorum,
         )
-        self.shared = None
-        if shared_weights:
-            hosted = {
-                "density": leader.density,
-                "causal": leader.causal,
-                "ensemble": leader.ensemble,
-            }
-            self.shared = SharedWeights.publish(
-                pipeline_weight_arrays(leader.pipeline, hosted))
-            attach_pipeline(leader.pipeline, self.shared)
-
-        services = [leader]
-        for _ in range(1, n_replicas):
-            sibling = ExplanationService(
-                leader.pipeline,
-                cache_size=cache_size,
-                strategy=leader.strategy,
-                density=leader.density,
-                density_weight=density_weight,
-                density_candidates=density_candidates,
-                causal=leader.causal,
-                ensemble=leader.ensemble,
-                robust_quorum=robust_quorum,
-            )
-            sibling.adopt_execution_from(leader)
-            services.append(sibling)
+        services = [leader] + [leader.replicate() for _ in range(1, n_replicas)]
 
         #: The pool's composite cache fingerprint (the routing key prefix).
         self.fingerprint = leader.cache_fingerprint
@@ -279,7 +239,7 @@ class WorkerPool:
                 _ProcessReplica(context, service, self._flush_kwargs)
                 for service in services
             ]
-        self.ring = ConsistentHashRing(range(n_replicas), points=ring_points)
+        self.ring = ConsistentHashRing(range(n_replicas))
         self._executor = ThreadPoolExecutor(
             max_workers=n_replicas, thread_name_prefix="repro-pool")
         self._closed = False
@@ -289,24 +249,24 @@ class WorkerPool:
         """Replica index owning one ``(row, desired)`` request."""
         return self.ring.node_for(request_key(self.fingerprint, row, desired))
 
-    def _assign(self, rows, desired):
-        """Per-row replica assignment for a resolved batch."""
-        return np.array(
-            [self.route(rows[i], int(desired[i])) for i in range(len(rows))],
-            dtype=int,
-        )
+    def _scatter(self, op, rows, desired):
+        """Run ``op`` on every replica's routed shard of a batch concurrently.
 
-    def _resolve(self, rows, desired):
+        Resolves the desired classes, routes each row by consistent
+        hashing and returns ``(rows, desired, parts)`` with one
+        ``(indices, payload)`` pair per replica that received rows.
+        """
         rows = self._template._check_rows(rows)
-        if desired is not None and not np.isscalar(desired):
-            # per-row specs may mix None ("flip") with explicit classes
-            specs = list(desired)
-            if len(specs) == len(rows) and any(s is None for s in specs):
-                resolved = np.asarray(
-                    [-1 if s is None else int(s) for s in specs])
-                flipped = 1 - self._template.explainer.blackbox.predict(rows)
-                return rows, np.where(resolved < 0, flipped, resolved)
-        return rows, self._template._resolve_desired(rows, desired)
+        desired = resolve_desired(self._template.explainer.blackbox, rows, desired)
+        assignment = np.array(
+            [self.route(row, target) for row, target in zip(rows, desired)], dtype=int)
+        futures = []
+        for node in self.ring.nodes:
+            indices = np.flatnonzero(assignment == node)
+            if len(indices):
+                futures.append((indices, self._executor.submit(
+                    self.replicas[node].call, op, rows[indices], desired[indices])))
+        return rows, desired, [(indices, future.result()) for indices, future in futures]
 
     # -- batch serving -------------------------------------------------------
     def explain_batch(self, rows, desired=None):
@@ -316,30 +276,15 @@ class WorkerPool:
         shard dispatches to its replica concurrently, and the results
         reassemble in request order.
         """
-        rows, desired = self._resolve(rows, desired)
-        assignment = self._assign(rows, desired)
-
+        rows, desired, parts = self._scatter("explain", rows, desired)
         n_rows, width = rows.shape
         x_cf = np.empty((n_rows, width))
         predicted = np.empty(n_rows, dtype=int)
         feasible = np.empty(n_rows, dtype=bool)
-
-        futures = {}
-        for node in self.ring.nodes:
-            indices = np.flatnonzero(assignment == node)
-            if len(indices):
-                futures[node] = (
-                    indices,
-                    self._executor.submit(
-                        self.replicas[node].explain_batch,
-                        rows[indices], desired[indices]),
-                )
-        for indices, future in futures.values():
-            part_cf, part_predicted, part_feasible = future.result()
+        for indices, (part_cf, part_predicted, part_feasible) in parts:
             x_cf[indices] = part_cf
             predicted[indices] = part_predicted
             feasible[indices] = part_feasible
-
         return CFBatchResult(
             x=rows,
             x_cf=x_cf,
@@ -362,22 +307,10 @@ class WorkerPool:
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim == 1:
             rows = rows.reshape(1, -1)
-        rows, desired = self._resolve(rows, desired)
-        assignment = self._assign(rows, desired)
-
+        rows, _, parts = self._scatter("flush", rows, desired)
         results = [None] * len(rows)
-        futures = {}
-        for node in self.ring.nodes:
-            indices = np.flatnonzero(assignment == node)
-            if len(indices):
-                futures[node] = (
-                    indices,
-                    self._executor.submit(
-                        self.replicas[node].flush_rows,
-                        rows[indices], desired[indices]),
-                )
-        for indices, future in futures.values():
-            for position, result in zip(indices, future.result()):
+        for indices, payload in parts:
+            for position, result in zip(indices, payload):
                 results[position] = result
         return results
 
@@ -392,7 +325,7 @@ class WorkerPool:
         """
         per_replica = []
         for index, replica in enumerate(self.replicas):
-            counters = dict(replica.stats())
+            counters = dict(replica.call("stats"))
             lookups = counters["cache_hits"] + counters["cache_misses"]
             counters["replica"] = index
             # rows_served counts batch-path rows, rows_coalesced counts
@@ -424,22 +357,18 @@ class WorkerPool:
             "hit_rate": total_hits / lookups if lookups else 0.0,
             "mean_batch_size": (
                 total_coalesced / total_flushes if total_flushes else 0.0),
-            "shared_weight_bytes": (
-                self.shared.nbytes if self.shared is not None else 0),
         }
         return {"per_replica": per_replica, "aggregate": aggregate}
 
     # -- lifecycle -----------------------------------------------------------
     def close(self):
-        """Shut down replicas, the dispatch executor and the shm segment."""
+        """Shut down the replicas and the dispatch executor."""
         if self._closed:
             return
         self._closed = True
         for replica in self.replicas:
             replica.close()
         self._executor.shutdown(wait=True)
-        if self.shared is not None:
-            self.shared.close()
 
     def __enter__(self):
         return self

@@ -37,7 +37,7 @@ import numpy as np
 
 from ..core.result import CFBatchResult
 from ..engine import CoreCFStrategy, EngineRunner
-from ..utils.validation import check_encoded_rows
+from ..utils.validation import check_encoded_rows, resolve_desired
 from .cache import LRUResultCache
 
 #: Overlay kinds :meth:`ExplanationService.warm_start` hosts, in the
@@ -351,14 +351,6 @@ class ExplanationService:
         """Validate a request matrix against the trained schema."""
         return check_encoded_rows(rows, self.encoder, name)
 
-    def _resolve_desired(self, rows, desired):
-        if desired is None:
-            return 1 - self.explainer.blackbox.predict(rows)
-        desired = np.asarray(desired, dtype=int).reshape(-1)
-        if len(desired) != len(rows):
-            raise ValueError(f"desired ({len(desired)}) and rows ({len(rows)}) counts differ")
-        return desired
-
     def _overlay_fingerprint(self, kind, obj, default, suffix=""):
         """Identity-memoised fingerprint of one served model slot.
 
@@ -492,7 +484,7 @@ class ExplanationService:
         ``FeasibleCFExplainer.explain`` computation.
         """
         rows = self._check_rows(rows)
-        desired = self._resolve_desired(rows, desired)
+        desired = resolve_desired(self.explainer.blackbox, rows, desired)
 
         n_rows, width = rows.shape
         x_cf = np.empty((n_rows, width))
@@ -550,6 +542,10 @@ class ExplanationService:
         """
         row = np.asarray(row, dtype=np.float64).reshape(-1)
         check_encoded_rows(row.reshape(1, -1), self.encoder, "row")
+        if desired is not None:
+            # reject a bad class here, not in the flush that answers the
+            # other callers' tickets too
+            desired = int(resolve_desired(self.explainer.blackbox, row[None], desired)[0])
         ticket = ExplainTicket(row, desired)
         with self._lock:
             self._pending.append(ticket)
@@ -583,11 +579,8 @@ class ExplanationService:
             self._pending = []
 
         rows = np.stack([ticket.row for ticket in tickets])
-        raw = [-1 if ticket.desired is None else int(ticket.desired) for ticket in tickets]
-        desired = np.asarray(raw)
-        if np.any(desired < 0):
-            flipped = 1 - self.explainer.blackbox.predict(rows)
-            desired = np.where(desired < 0, flipped, desired)
+        desired = resolve_desired(
+            self.explainer.blackbox, rows, [ticket.desired for ticket in tickets])
 
         strategy = self.strategy
         if strategy is None:
@@ -611,47 +604,30 @@ class ExplanationService:
             self.rows_coalesced += len(tickets)
         return tickets
 
-    # -- execution-state sharing ----------------------------------------------
-    def adopt_execution_from(self, sibling):
-        """Reuse a sibling replica's execution state.
+    # -- replication ---------------------------------------------------------
+    def replicate(self):
+        """A sibling replica sharing this service's execution state.
 
-        A scaled-out worker pool runs N services over ONE shared
-        pipeline; without sharing, every replica would build its own
-        :class:`EngineRunner` and its own core strategy.  This adopts
-        the sibling's runner and core strategy so the pool holds exactly
-        one of each (the runner keeps all state at construction time, so
-        concurrent runs are safe).
-
-        Only legal between services hosting the *identical* model
-        objects and execution configuration — anything else would let a
-        cache key describe one configuration while another one serves,
-        so it raises ``ValueError`` instead.
+        The sibling serves the same pipeline, hosted models, engine
+        runner and core strategy — a pool of N replicas holds one of
+        each — with its own result cache, lock, pending-ticket queue and
+        counters.  It is built from this service's own configuration, so
+        its cache keys always describe what it serves.
         """
-        mismatched = [
-            name
-            for name, mine, theirs in (
-                ("strategy", self.strategy, sibling.strategy),
-                ("density", self.density, sibling.density),
-                ("causal", self.causal, sibling.causal),
-                ("ensemble", self.ensemble, sibling.ensemble),
-            )
-            if mine is not theirs
-        ]
-        if (
-            self.density_weight != sibling.density_weight
-            or self.density_candidates != sibling.density_candidates
-        ):
-            mismatched.append("density configuration")
-        if self.robust_quorum != sibling.robust_quorum:
-            mismatched.append("robust_quorum")
-        if mismatched:
-            raise ValueError(
-                "cannot adopt execution state across differently configured "
-                f"services (mismatched: {', '.join(mismatched)})")
-        self._runner = sibling.runner
-        if sibling.strategy is None:
-            self._core_strategy = sibling.core_strategy
-        return self
+        sibling = ExplanationService(
+            self.pipeline,
+            cache_size=self.cache.capacity,
+            strategy=self.strategy,
+            density=self.density,
+            density_weight=self.density_weight,
+            density_candidates=self.density_candidates,
+            causal=self.causal,
+            ensemble=self.ensemble,
+            robust_quorum=self.robust_quorum,
+        )
+        sibling._runner = self.runner
+        sibling._core_strategy = self.core_strategy
+        return sibling
 
     # -- introspection --------------------------------------------------------
     @property

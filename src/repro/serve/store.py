@@ -38,10 +38,8 @@ __all__ = [
     "MMAP_THRESHOLD",
     "ArtifactError",
     "ArtifactStore",
-    "OverlayKind",
     "StaleArtifactError",
     "overlay_kinds",
-    "register_overlay_kind",
 ]
 
 #: Bump when the artifact layout or manifest schema changes; loading an
@@ -68,8 +66,8 @@ _ENSEMBLE_META = "ensemble.json"
 
 
 @dataclass(frozen=True)
-class OverlayKind:
-    """One registered overlay family: its files and its rebuild recipe.
+class _OverlayKind:
+    """One overlay family: its files and its rebuild recipe.
 
     ``rebuild(store, name, state, vae=, encoder=)`` turns the loaded flat
     state dict back into a fitted model; kinds ignore the context
@@ -102,40 +100,27 @@ def _rebuild_ensemble(store, name, state, vae=None, encoder=None):
     return BlackBoxEnsemble.from_state(state)
 
 
-#: kind name -> OverlayKind; the store's generic save/load/has dispatch.
-_OVERLAY_KINDS = {}
-
-
-def register_overlay_kind(kind, overwrite=False):
-    """Register an :class:`OverlayKind` under its name.
-
-    Every model family the store can attach to an artifact (density,
-    causal, ensemble, ...) registers once; the generic
-    :meth:`ArtifactStore.save_overlay` / :meth:`ArtifactStore.load_overlay`
-    surface then covers it with no per-kind store methods.
-    """
-    if kind.name in _OVERLAY_KINDS and not overwrite:
-        raise ValueError(
-            f"overlay kind {kind.name!r} is already registered (overwrite=True replaces)")
-    _OVERLAY_KINDS[kind.name] = kind
-    return kind
+#: kind name -> _OverlayKind; the store's generic save/load/has dispatch.
+_OVERLAY_KINDS = {
+    kind.name: kind
+    for kind in (
+        _OverlayKind("density", _DENSITY, _DENSITY_META, _rebuild_density),
+        _OverlayKind("causal", _CAUSAL, _CAUSAL_META, _rebuild_causal),
+        _OverlayKind("ensemble", _ENSEMBLE, _ENSEMBLE_META, _rebuild_ensemble),
+    )
+}
 
 
 def overlay_kinds():
-    """Sorted names of every registered overlay kind."""
+    """Sorted names of every overlay kind the store persists."""
     return tuple(sorted(_OVERLAY_KINDS))
 
 
 def _overlay_kind(kind):
     if kind not in _OVERLAY_KINDS:
         known = ", ".join(overlay_kinds())
-        raise KeyError(f"unknown overlay kind {kind!r}; registered: {known}")
+        raise KeyError(f"unknown overlay kind {kind!r}; known: {known}")
     return _OVERLAY_KINDS[kind]
-
-
-register_overlay_kind(OverlayKind("density", _DENSITY, _DENSITY_META, _rebuild_density))
-register_overlay_kind(OverlayKind("causal", _CAUSAL, _CAUSAL_META, _rebuild_causal))
-register_overlay_kind(OverlayKind("ensemble", _ENSEMBLE, _ENSEMBLE_META, _rebuild_ensemble))
 
 
 class ArtifactError(RuntimeError):
@@ -500,7 +485,7 @@ class ArtifactStore:
     def save_overlay(self, name, kind, model):
         """Persist a fitted model as a ``kind`` overlay on artifact ``name``.
 
-        One entry point for every registered :class:`OverlayKind`
+        One entry point for every overlay kind
         (:func:`overlay_kinds` lists them): arrays of the model's
         :meth:`get_state` go into ``<kind>.npz``; scalar state, the model
         fingerprint and the npz checksum go into a ``<kind>.json``

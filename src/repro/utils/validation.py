@@ -11,7 +11,8 @@ import numpy as np
 
 __all__ = ["SchemaMismatchError", "check_2d", "check_2d_fast",
            "check_binary_labels", "check_encoded_rows", "check_encoded_sweep",
-           "check_probability", "check_positive", "check_schema_width"]
+           "check_probability", "check_positive", "check_schema_width",
+           "resolve_desired"]
 
 
 class SchemaMismatchError(ValueError):
@@ -158,6 +159,44 @@ def check_binary_labels(labels, name="labels"):
     if not np.isin(unique, (0, 1)).all():
         raise ValueError(f"{name} must contain only 0/1, got values {unique[:10]}")
     return labels.astype(int)
+
+
+def resolve_desired(blackbox, x, desired):
+    """Per-row desired classes for the rows ``x``: the one class policy.
+
+    * ``None`` flips the black box's prediction on every row;
+    * a scalar is broadcast to every row;
+    * a per-row sequence may mix explicit classes with ``None``, which
+      flips that row's prediction.
+
+    The black box is consulted only when some row needs a flip.  The
+    black boxes are binary, so a flip is ``1 - prediction`` and a class
+    outside {0, 1} can never be reached: it raises ``ValueError``, as do
+    a sequence that is not 1-D and one whose length differs from ``x``.
+    Returns an int array of shape ``(len(x),)``.
+    """
+    n_rows = len(x)
+    if desired is None:
+        return 1 - blackbox.predict(x)
+    desired = np.asarray(desired)
+    if desired.ndim == 0:
+        desired = np.full(n_rows, desired)
+    elif desired.ndim != 1:
+        raise ValueError(
+            f"desired must be a scalar or 1-D vector, got shape {desired.shape}")
+    elif len(desired) != n_rows:
+        raise ValueError(
+            f"desired ({len(desired)}) and x ({n_rows}) row counts differ")
+    if desired.dtype == object:
+        flip = np.array([value is None for value in desired])
+        if flip.any():
+            desired = desired.copy()
+            desired[flip] = (1 - blackbox.predict(x))[flip]
+    binary = (desired == 0) | (desired == 1)
+    if not binary.all():
+        raise ValueError(
+            f"desired classes must be 0 or 1, got {desired[~binary][:10].tolist()}")
+    return desired.astype(int)
 
 
 def check_probability(value, name="probability"):

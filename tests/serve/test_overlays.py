@@ -1,23 +1,15 @@
-"""Generic overlay registry: one save/load/has surface for every kind.
+"""Generic overlay surface: one save/load/has surface for every kind.
 
 Every model overlay persists through ``save_overlay(name, kind, model)``
-/ ``load_overlay`` / ``has_overlay``, dispatching through registered
-:class:`OverlayKind` entries, and is served through the one
+/ ``load_overlay`` / ``has_overlay``, dispatching through the store's
+fixed table of overlay kinds, and is served through the one
 ``ExplanationService.warm_start(overlays={...})`` spec.  These tests
-cover the generic surface, the kind registry and the warm-start spec.
+cover the generic surface, the kind table and the warm-start spec.
 """
 
-import numpy as np
 import pytest
 
-from repro.serve import (
-    ArtifactStore,
-    ExplanationService,
-    OverlayKind,
-    overlay_kinds,
-    register_overlay_kind,
-)
-from repro.serve.store import _OVERLAY_KINDS
+from repro.serve import ArtifactStore, ExplanationService, overlay_kinds
 
 
 @pytest.fixture(scope="module")
@@ -64,31 +56,6 @@ class TestGenericSurface:
             store.has_overlay("t", "hologram")
         with pytest.raises(KeyError, match="unknown overlay kind"):
             store.load_overlay("t", "hologram")
-
-    def test_register_rejects_duplicates(self):
-        kind = OverlayKind("density", "density.npz", "density.json", None)
-        with pytest.raises(ValueError, match="already registered"):
-            register_overlay_kind(kind)
-
-    def test_register_custom_kind_dispatches(self, saved):
-        store, models = saved
-
-        def rebuild(store, name, state, vae=None, encoder=None):
-            from repro.density import density_from_state
-
-            return density_from_state(state, vae=vae)
-
-        try:
-            register_overlay_kind(
-                OverlayKind("shadow", "shadow.npz", "shadow.json", rebuild))
-            store.save_overlay("t", "shadow", models["density"])
-            assert (store.artifact_dir("t") / "shadow.npz").is_file()
-            loaded = store.load_overlay("t", "shadow")
-            probe = models["density"].reference_[:5]
-            np.testing.assert_array_equal(
-                loaded.score(probe), models["density"].score(probe))
-        finally:
-            _OVERLAY_KINDS.pop("shadow", None)
 
 
 @pytest.fixture(scope="module")

@@ -89,7 +89,6 @@ class TestWorkerPool:
         assert aggregate["requests"] == len(explain_rows) + 4
         assert aggregate["replicas"] == 2
         assert aggregate["backend"] == "thread"
-        assert aggregate["shared_weight_bytes"] > 0
         for entry in per_replica:
             assert 0.0 <= entry["hit_rate"] <= 1.0
             assert entry["mean_batch_size"] >= 0.0
@@ -102,21 +101,27 @@ class TestWorkerPool:
                 assert replica.service.core_strategy is leader.core_strategy
                 assert replica.service.pipeline is leader.pipeline
 
-    def test_shared_weights_bind_every_replica(self, store, explain_rows):
-        with WorkerPool(store, "tiny", n_replicas=2) as pool:
-            blackbox = pool.replicas[0].service.explainer.blackbox
-            for _name, tensor in blackbox.named_parameters(
-                    include_frozen=True):
-                assert pool.shared.owns_buffer_of(tensor.data)
+    def test_replicas_hold_one_copy_of_the_weights(self, store, explain_rows):
+        with WorkerPool(store, "tiny", n_replicas=2,
+                        shared_weights=False) as pool:
+            leader, sibling = (replica.service for replica in pool.replicas)
+            assert sibling.explainer.blackbox is leader.explainer.blackbox
+            assert (sibling.explainer.generator.vae
+                    is leader.explainer.generator.vae)
             result = pool.explain_batch(explain_rows[:4])
             assert len(result.x_cf) == 4
 
-    def test_shared_weights_can_be_disabled(self, store, explain_rows):
-        with WorkerPool(store, "tiny", n_replicas=2,
-                        shared_weights=False) as pool:
-            assert pool.shared is None
-            assert pool.stats()["aggregate"]["shared_weight_bytes"] == 0
-            pool.explain_batch(explain_rows[:4])
+    def test_shared_weights_true_is_rejected(self, store):
+        with pytest.raises(ValueError, match="already share one copy"):
+            WorkerPool(store, "tiny", shared_weights=True)
+
+    def test_non_binary_desired_is_rejected(self, store, explain_rows):
+        with WorkerPool(store, "tiny", n_replicas=2) as pool:
+            with pytest.raises(ValueError, match="0 or 1"):
+                pool.explain_batch(explain_rows[:4], desired=[2, 2, 2, 2])
+            with pytest.raises(ValueError, match="0 or 1"):
+                pool.flush_rows(explain_rows[:2], desired=[None, 3])
+            assert pool.stats()["aggregate"]["requests"] == 0
 
     def test_process_backend_parity(self, store, sync_service, explain_rows):
         import multiprocessing
@@ -136,22 +141,42 @@ class TestWorkerPool:
         assert stats["aggregate"]["backend"] == "process"
 
 
-class TestAdoptExecution:
-    def test_rejects_mismatched_configuration(self, tiny_pipeline):
-        leader = ExplanationService(tiny_pipeline)
-        sibling = ExplanationService(tiny_pipeline, density_weight=2.0)
-        with pytest.raises(ValueError, match="density configuration"):
-            sibling.adopt_execution_from(leader)
-        other_quorum = ExplanationService(tiny_pipeline, robust_quorum=0.75)
-        with pytest.raises(ValueError, match="robust_quorum"):
-            other_quorum.adopt_execution_from(leader)
+def _density(pipeline):
+    from repro.density import KnnDensity
 
-    def test_adopts_runner_and_core_strategy(self, tiny_pipeline):
-        leader = ExplanationService(tiny_pipeline)
-        sibling = ExplanationService(tiny_pipeline)
-        assert sibling.adopt_execution_from(leader) is sibling
+    x_train, y_train = pipeline.bundle.split("train")
+    desired_class = int(pipeline.bundle.schema.desired_class)
+    return KnnDensity(k_neighbors=5).fit(x_train[y_train == desired_class][:120])
+
+
+class TestReplicate:
+    def test_shares_execution_state(self, tiny_pipeline):
+        density = _density(tiny_pipeline)
+        leader = ExplanationService(
+            tiny_pipeline, cache_size=32, density=density,
+            density_weight=2.0, density_candidates=4, robust_quorum=0.75)
+        sibling = leader.replicate()
+        assert sibling.pipeline is leader.pipeline
+        assert sibling.density is density
         assert sibling.runner is leader.runner
         assert sibling.core_strategy is leader.core_strategy
+        assert sibling.cache_fingerprint == leader.cache_fingerprint
+        assert sibling.cache.capacity == 32
+
+    def test_owns_its_cache_queue_and_counters(
+            self, tiny_pipeline, explain_rows):
+        leader = ExplanationService(tiny_pipeline, cache_size=32)
+        sibling = leader.replicate()
+        assert sibling.cache is not leader.cache
+        assert sibling._lock is not leader._lock
+        leader.submit(explain_rows[0])
+        assert sibling.pending == 0
+        result = sibling.explain_batch(explain_rows[:4])
+        assert sibling.stats["rows_served"] == 4
+        assert leader.stats["rows_served"] == 0
+        assert len(leader.cache) == 0
+        np.testing.assert_array_equal(
+            result.x_cf, leader.explain_batch(explain_rows[:4]).x_cf)
 
 
 class TestThreadSafety:

@@ -76,6 +76,13 @@ class TestResultCache:
         with pytest.raises(ValueError, match="counts differ"):
             service.explain_batch(explain_rows[:4], desired=[1, 0])
 
+    def test_non_binary_desired_is_rejected_not_cached(self, tiny_pipeline, explain_rows):
+        service = ExplanationService(tiny_pipeline, cache_size=64)
+        with pytest.raises(ValueError, match="0 or 1"):
+            service.explain_batch(explain_rows[:4], desired=[2, 2, 2, 2])
+        assert service.cache.stats["size"] == 0
+        assert service.stats["rows_served"] == 0
+
 
 class TestMicroBatching:
     def test_flush_resolves_all_tickets_in_one_sweep(self, service, explain_rows):
@@ -119,6 +126,11 @@ class TestMicroBatching:
         ticket = service.submit(explain_rows[0], desired=1)
         service.flush(rng=np.random.default_rng(0))
         assert ticket.result()["desired"] == 1
+
+    def test_non_binary_ticket_is_rejected_at_submit(self, service, explain_rows):
+        with pytest.raises(ValueError, match="0 or 1"):
+            service.submit(explain_rows[0], desired=2)
+        assert service.pending == 0
 
     def test_unresolved_ticket_raises(self, service, explain_rows):
         ticket = service.submit(explain_rows[0])

@@ -16,6 +16,7 @@ from repro.utils import (
     render_table,
     spawn,
 )
+from repro.utils.validation import resolve_desired
 
 
 class TestRng:
@@ -77,6 +78,52 @@ class TestRenderTable:
         text = render_table([f"c{i}" for i in range(len(values))], rows)
         lines = text.splitlines()
         assert len({len(line) for line in lines[0:1] + lines[2:]}) == 1
+
+
+class _ThresholdBlackBox:
+    """Predicts 1 when the first column exceeds 0.5."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def predict(self, x):
+        self.calls += 1
+        return (np.asarray(x)[:, 0] > 0.5).astype(int)
+
+
+class TestResolveDesired:
+    x = np.array([[0.0], [1.0], [0.2], [0.9]])
+
+    def test_none_flips_the_prediction(self):
+        assert resolve_desired(_ThresholdBlackBox(), self.x, None).tolist() == [1, 0, 1, 0]
+
+    def test_scalar_broadcasts_without_predicting(self):
+        blackbox = _ThresholdBlackBox()
+        assert resolve_desired(blackbox, self.x, 1).tolist() == [1, 1, 1, 1]
+        assert resolve_desired(blackbox, self.x, np.int64(0)).tolist() == [0, 0, 0, 0]
+        assert blackbox.calls == 0
+
+    def test_per_row_sequence_may_mix_none(self):
+        desired = resolve_desired(_ThresholdBlackBox(), self.x, [None, 1, None, 1])
+        assert desired.tolist() == [1, 1, 1, 1]
+        assert desired.dtype.kind == "i"
+
+    def test_explicit_vector_passes_through(self):
+        desired = resolve_desired(_ThresholdBlackBox(), self.x, np.array([1, 0, 0, 1]))
+        assert desired.tolist() == [1, 0, 0, 1]
+
+    @pytest.mark.parametrize("desired", [[2, 2, 2, 2], 2, -1, [0.5, 1, 1, 1], [None, 2, 0, 1]])
+    def test_classes_outside_binary_raise(self, desired):
+        with pytest.raises(ValueError, match="0 or 1"):
+            resolve_desired(_ThresholdBlackBox(), self.x, desired)
+
+    def test_length_mismatch_raises(self):
+        with pytest.raises(ValueError, match="row counts differ"):
+            resolve_desired(_ThresholdBlackBox(), self.x, [1, 0])
+
+    def test_matrix_raises(self):
+        with pytest.raises(ValueError, match="scalar or 1-D"):
+            resolve_desired(_ThresholdBlackBox(), self.x, np.zeros((4, 1)))
 
 
 class TestValidation:
