@@ -1,12 +1,15 @@
 """Benchmark: density-aware counterfactual selection (Figure 3).
 
-Times candidate generation + selection and verifies the Figure 3 policy:
-the selector's picks are at least as feasible as the deterministic
-output and land in denser feasible regions than proximity-only picks.
+Times one candidate sweep + density-aware selection through the engine
+runner and verifies the Figure 3 policy: the density-aware picks are at
+least as feasible as the deterministic output and land in denser
+feasible regions than proximity-only picks.
 """
 
 
-from repro.core import DensityCFSelector, FeasibleCFExplainer, paper_config
+from repro.core import FeasibleCFExplainer, paper_config
+from repro.density import KnnDensity
+from repro.engine import CoreCFStrategy, EngineRunner
 from repro.utils.tables import render_table
 
 from conftest import save_artifact
@@ -20,30 +23,34 @@ def test_density_selection(benchmark, adult_context, artifact_dir):
         blackbox=context.blackbox, seed=0)
     explainer.fit(context.x_train, context.y_train)
 
-    selector = DensityCFSelector(explainer, density_weight=2.0, k_neighbors=8)
-    selector.fit_reference(context.x_train[:500])
+    # the feasible reference population: valid & feasible one-shot CFs
+    reference = explainer.explain(context.x_train[:500])
+    density = KnnDensity(k_neighbors=8).fit(
+        reference.x_cf[reference.valid & reference.feasible])
     x = context.x_explain[:30]
 
-    x_cf, diagnostics = benchmark.pedantic(
-        selector.explain, args=(x,), kwargs={"n_candidates": 15},
-        rounds=1, iterations=1)
+    def select(density_weight):
+        runner = EngineRunner(
+            explainer.encoder, explainer.blackbox,
+            constraints=explainer.compiled_constraints, density=density,
+            density_weight=density_weight)
+        return runner.run(CoreCFStrategy(explainer, n_candidates=15), x).x_cf
+
+    x_cf = benchmark.pedantic(select, args=(2.0,), rounds=1, iterations=1)
 
     deterministic = explainer.explain(x, context.desired[:30]).x_cf
-    proximity_only = DensityCFSelector(
-        explainer, density_weight=1e-9, k_neighbors=8)
-    proximity_only.density_model = selector.density_model
-    x_cf_proximal, _ = proximity_only.explain(x, n_candidates=15)
+    x_cf_proximal = select(1e-9)
 
     rows = [
         ["deterministic (no selection)",
          float(explainer.constraints.satisfaction_rate(x, deterministic) * 100),
-         float(selector.density_score(deterministic).mean())],
+         float(density.score(deterministic).mean())],
         ["proximity-only selection",
          float(explainer.constraints.satisfaction_rate(x, x_cf_proximal) * 100),
-         float(selector.density_score(x_cf_proximal).mean())],
+         float(density.score(x_cf_proximal).mean())],
         ["density-aware selection",
          float(explainer.constraints.satisfaction_rate(x, x_cf) * 100),
-         float(selector.density_score(x_cf).mean())],
+         float(density.score(x_cf).mean())],
     ]
     text = render_table(
         ["policy", "feasibility %", "mean kNN dist to feasible refs"],

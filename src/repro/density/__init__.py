@@ -1,11 +1,11 @@
 """Unified batch-first density subsystem (the paper's third pillar).
 
 One ``DensityModel`` layer powers every density question in the stack:
-Figure 3 candidate selection (``DensityCFSelector``), FACE's
-density-penalised graph, the engine runner's density-aware selection and
-Table IV density column, warm-started serving (density state persisted
-by the ``ArtifactStore``) and the ``density=`` scenario variants.  See
-``docs/density.md``.
+Figure 3 candidate selection (``EngineRunner(density=...)`` ranking a
+``CoreCFStrategy`` sweep), FACE's density-penalised graph, the engine
+runner's Table IV density column, warm-started serving (density state
+persisted by the ``ArtifactStore``) and the ``density=`` scenario
+variants.  See ``docs/density.md``.
 """
 
 from .ann import AnnIndex, recall_at_k

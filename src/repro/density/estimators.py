@@ -1,9 +1,7 @@
 """The three batch-first density estimators.
 
 * :class:`KnnDensity` — mean distance to the k nearest reference
-  examples, the exact math ``DensityCFSelector`` always used (the
-  selector now delegates here; parity tests pin the scores
-  bit-identical).
+  examples, the ``meanknn`` term of the Figure 3 selection score.
 * :class:`GaussianKdeDensity` — vectorized Gaussian kernel density with
   per-feature Scott bandwidths; the score is the negative log-density.
 * :class:`LatentDensity` — k-NN density measured in the CF-VAE latent

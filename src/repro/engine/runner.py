@@ -158,7 +158,16 @@ class EngineRunner:
         candidates per row the strategy proposed.  Multi-candidate
         batches are reduced to one counterfactual per row by the serving
         selection policy: closest by L1 among valid & feasible, then
-        valid-only, then the first (deterministic) candidate.
+        valid-only, then the first (deterministic) candidate.  A hosted
+        density model swaps closeness for the Figure 3 proximity+density
+        score inside the same pools.
+
+        ``return_diagnostics=True`` also returns a dict with each row's
+        ``chosen`` index and ``n_usable`` count, the sweep's
+        ``candidate_validity`` rate, the kernel ``report`` and the sweep
+        itself: ``candidates`` ``(n, m, d)`` plus the ``valid`` and
+        ``feasible`` ``(n, m)`` flags, plus per-row overlay costs when
+        overlays are hosted.
         """
         from ..utils.validation import check_encoded_rows
 
@@ -236,6 +245,12 @@ class EngineRunner:
                 "n_candidates": m,
                 "n_usable": (valid & flags).reshape(n, m).sum(axis=1),
                 "candidate_validity": float(valid.mean()) if valid.size else 0.0,
+                # the full projected (and repaired) sweep with its
+                # per-candidate flags, for callers auditing more than
+                # each row's winner
+                "candidates": candidates,
+                "valid": valid.reshape(n, m),
+                "feasible": flags.reshape(n, m),
             }
             if self.density is not None:
                 if sweep_density is None:
@@ -319,41 +334,57 @@ def _selection_pools(valid, feasible, robust=None):
     return (valid & feasible & robust,) + pools
 
 
+def standardize_rows(values):
+    """Standardize each row of ``values``; near-constant rows become zero."""
+    mean = values.mean(axis=1, keepdims=True)
+    spread = values.std(axis=1, keepdims=True)
+    degenerate = spread < 1e-12
+    return np.where(degenerate, 0.0, (values - mean) / np.where(degenerate, 1.0, spread))
+
+
+def argmax_by_pools(scores, pools):
+    """Per-row argmax of ``scores`` under a preference-ordered pool cascade.
+
+    ``pools`` is an iterable of ``(n, m)`` boolean masks in preference
+    order; each row picks the highest-scoring candidate inside its first
+    non-empty pool (an all-ones fallback pool is appended).  Equivalent
+    to ``pool[np.argmax(scores[pool])]`` applied row by row — including
+    the first-occurrence tie-break.
+    """
+    n = len(scores)
+    chosen = np.zeros(n, dtype=int)
+    remaining = np.ones(n, dtype=bool)
+    for pool in (*pools, np.ones(scores.shape, dtype=bool)):
+        hit = remaining & pool.any(axis=1)
+        if hit.any():
+            masked = np.where(pool[hit], scores[hit], -np.inf)
+            chosen[hit] = np.argmax(masked, axis=1)
+            remaining &= ~hit
+    return chosen
+
+
 def _select_candidates(x, candidates, valid, feasible, robust=None):
     """Vectorized per-row candidate choice (the serving policy).
 
     Preference order: valid & feasible (& quorum-robust first, when an
     ensemble is hosted), then valid, then candidate 0 (the deterministic
     decode).  Within a pool the candidate closest to the input by L1
-    distance wins — the per-candidate-set policy
-    (``tests/helpers/serving.pick_candidate``) applied to every row at
-    once.
+    distance wins, the first one on ties.
     """
     distances = np.abs(candidates - x[:, None, :]).sum(axis=2)
-    n, m = distances.shape
-    chosen = np.zeros(n, dtype=int)
-    remaining = np.ones(n, dtype=bool)
-    for pool in _selection_pools(valid, feasible, robust):
-        useful = remaining & pool.any(axis=1)
-        if useful.any():
-            masked = np.where(pool[useful], distances[useful], np.inf)
-            chosen[useful] = np.argmin(masked, axis=1)
-            remaining &= ~useful
-    return chosen
+    first_only = np.zeros(distances.shape, dtype=bool)
+    first_only[:, 0] = True
+    return argmax_by_pools(-distances, (*_selection_pools(valid, feasible, robust), first_only))
 
 
-def _select_candidates_density(x, candidates, valid, feasible, density, weight,
-                               robust=None):
+def _select_candidates_density(x, candidates, valid, feasible, density, weight, robust=None):
     """Vectorized per-row choice under the Figure 3 proximity+density score.
 
     Same pool cascade as :func:`_select_candidates` (robust when hosted,
     valid & feasible, then valid, then any), but within a pool the
-    winner maximises the standardized ``-proximity - weight * density``
-    combination instead of pure closeness — exactly the
-    ``DensityCFSelector`` scoring, hosted once for every strategy.
+    winner maximises the row-standardized ``-proximity - weight *
+    density`` combination instead of pure closeness.
     """
-    from ..core.selection import argmax_by_pools, standardize_rows
-
     proximity = np.abs(candidates - x[:, None, :]).sum(axis=2)
     scores = -standardize_rows(proximity) - weight * standardize_rows(density)
     return argmax_by_pools(scores, _selection_pools(valid, feasible, robust))

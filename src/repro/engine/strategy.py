@@ -83,6 +83,33 @@ class CandidateBatch:
         return self.candidates.reshape(n * m, d)
 
 
+def candidate_noise_defaults(explainer, noise_scale=None, rng=None):
+    """Latent-noise defaults of the Figure 3 candidate sweep.
+
+    The diversity stream is an ``explainer.seed + 500`` rng with noise
+    scale ``max(latent_noise, 0.05)``; an explicit ``noise_scale`` or
+    ``rng`` overrides either one.
+    """
+    rng = rng or np.random.default_rng(explainer.seed + 500)
+    if noise_scale is None:
+        noise_scale = max(explainer.generator.config.latent_noise, 0.05)
+    return noise_scale, rng
+
+
+def perturb_latents(mu, n_candidates, noise_scale, rng):
+    """Perturbed latent grid: per row, candidate 0 is the zero-noise decode.
+
+    Noise for every row is drawn in a single generator call in row-major
+    order, so the grid is identical to sampling each row sequentially.
+    Returns the ``(n_rows * n_candidates, latent_dim)`` stack in
+    ``np.repeat`` order.
+    """
+    n_rows, latent_dim = mu.shape
+    noise = rng.normal(0.0, noise_scale, size=(n_rows, n_candidates, latent_dim))
+    noise[:, 0, :] = 0.0  # always include the deterministic candidate
+    return (mu[:, None, :] + noise).reshape(n_rows * n_candidates, latent_dim)
+
+
 class CFStrategy(ABC):
     """Propose-only interface every counterfactual method implements.
 
@@ -127,20 +154,22 @@ class CoreCFStrategy(CFStrategy):
     name:
         Report label; defaults to ``ours_<constraint kind>``.
     n_candidates:
-        Candidates proposed per row.  ``1`` decodes the deterministic
-        posterior mean (the one-shot ``explain`` path); larger values add
-        latent-perturbation diversity for density-aware selection,
-        consuming the same noise stream as
-        :func:`repro.core.selection.generate_candidates`.
+        Candidates proposed per row (at least 1).  ``1`` decodes the
+        deterministic posterior mean (the one-shot ``explain`` path);
+        larger values propose the paper's Figure 3 sweep: candidate 0 is
+        that deterministic decode and the rest perturb the latent code
+        (:func:`perturb_latents`) for density-aware selection.
     noise_scale, rng:
-        Latent-noise knobs for the diverse mode (defaults mirror
-        ``generate_candidates``).
+        Latent-noise knobs for the sweep (defaults from
+        :func:`candidate_noise_defaults`).
     """
 
     def __init__(self, explainer, name=None, n_candidates=1, noise_scale=None, rng=None):
         self.explainer = explainer
         self.name = name or f"ours_{explainer.constraint_kind}"
         self.n_candidates = int(n_candidates)
+        if self.n_candidates < 1:
+            raise ValueError(f"n_candidates must be >= 1, got {n_candidates}")
         self.noise_scale = noise_scale
         self.rng = rng
         self.seed = explainer.seed
@@ -162,8 +191,6 @@ class CoreCFStrategy(CFStrategy):
         x = explainer._check_rows(x, "x")
         desired = resolve_desired(explainer.blackbox, x, desired)
 
-        from ..core.selection import candidate_noise_defaults, perturb_latents
-
         vae = generator.vae
         vae.eval()
         n, d = x.shape
@@ -172,7 +199,6 @@ class CoreCFStrategy(CFStrategy):
         if m == 1:
             decoded = vae.decode_array(mu, desired)
         else:
-            # the exact noise stream generate_candidates consumes
             noise_scale, rng = candidate_noise_defaults(explainer, self.noise_scale, self.rng)
             z = perturb_latents(mu, m, noise_scale, rng)
             labels = np.repeat(np.asarray(desired, dtype=np.float64), m)

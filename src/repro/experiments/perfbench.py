@@ -9,9 +9,12 @@ about ("as fast as the hardware allows"):
   calls (batch 16, the shape of per-request serving traffic), the
   validity-check path every explainer hammers, in rows/sec.  A second
   number covers the float32 fast mode when the engine supports it.
-* **candidates** — the density sweep's ``generate_candidates`` (latent
-  perturbation, batched decode, black-box validity, constraint
-  feasibility), in input rows/sec and decoded candidates/sec.
+* **candidates** — the Figure 3 candidate sweep through the engine: one
+  :meth:`repro.engine.EngineRunner.run` of a multi-candidate
+  :class:`repro.engine.CoreCFStrategy` (latent perturbation, batched
+  decode, immutable projection, black-box validity, constraint
+  feasibility, closest-candidate selection), in input rows/sec and
+  decoded candidates/sec.
 * **serve** — cold-start (train + persist + answer a batch) vs
   warm-start (load the artifact store + answer the same batch) through
   :class:`repro.serve.ExplanationService`, plus the cache-hit replay
@@ -61,11 +64,11 @@ about ("as fast as the hardware allows"):
   the C-CHVAE serving shape — a fixed 40-candidate sweep per row with a
   hosted SCM causal model — and the batched path must hold a >= 3x
   speedup over the per-request calls.
-* **density** — the batched density-aware selection
-  (:meth:`repro.core.DensityCFSelector.select_batch`: ONE tiled density
-  query + one vectorized score pass for the whole sweep) against the
-  per-row loop the pre-density-layer selector ran (two score passes per
-  row — one in ``select``, one for the diagnostics).  Outputs are
+* **density** — the runner's batched density-aware selection (ONE
+  tiled density query + one vectorized score pass for the whole sweep,
+  what ``EngineRunner(density=...)`` runs) against the per-row loop the
+  pre-density-layer selector ran (two score passes per row — one to
+  pick, one for the diagnostics).  Outputs are
   asserted bit-identical before timing and the batched path must hold a
   >= 3x speedup; the tiled k-NN scorer and the KDE estimator ride along
   as informational rates.
@@ -100,7 +103,6 @@ import time
 import numpy as np
 
 from ..core import FeasibleCFExplainer, fast_config
-from ..core.selection import generate_candidates
 from ..data import load_dataset
 from ..models import BlackBoxClassifier, train_classifier
 from ..utils.validation import resolve_desired
@@ -397,48 +399,97 @@ def _constraint_eval_section(bundle, spec, min_seconds, seed):
     }
 
 
+def _standardize(values):
+    """Scalar z-score of one candidate set; near-constant sets become zero."""
+    spread = values.std()
+    if spread < 1e-12:
+        return np.zeros_like(values)
+    return (values - values.mean()) / spread
+
+
+def _density_select_loop(model, x, sweep, valid, feasible, weight):
+    """The pre-density-layer Figure 3 pick, one candidate set at a time.
+
+    Per row: score every candidate by the standardized
+    ``-proximity - weight * density`` combination, take the best inside
+    the first non-empty pool (valid & feasible, valid, any), then score
+    the set a second time for the reported score — the historical
+    two-score-pass selector this section times the runner against.
+    Returns ``(chosen, diagnostics)``.
+    """
+
+    def score(i):
+        proximity = np.abs(sweep[i] - x[i][None, :]).sum(axis=1)
+        return -_standardize(proximity) - weight * _standardize(model.score(sweep[i]))
+
+    chosen = []
+    diagnostics = []
+    for i in range(len(x)):
+        usable = valid[i] & feasible[i]
+        scores = score(i)
+        for mask in (usable, valid[i], np.ones(len(usable), dtype=bool)):
+            if mask.any():
+                pool = np.flatnonzero(mask)
+                index = int(pool[np.argmax(scores[pool])])
+                break
+        chosen.append(index)
+        diagnostics.append({
+            "chosen": index,
+            "n_usable": int(usable.sum()),
+            "n_valid": int(valid[i].sum()),
+            "score": float(score(i)[index]),
+        })
+    return np.array(chosen), diagnostics
+
+
 def _density_section(explainer, bundle, spec, min_seconds, seed):
     """Time batched density-aware selection against the per-row loop.
 
     The workload is the Figure 3 selection stage on a real candidate
-    sweep: ``density_rows`` inputs x ``density_candidates`` generated
-    candidates each, scored against a ``density_reference``-row k-NN
-    estimator.  The loop reference is the historical selector path
-    (two score passes per row — exactly what ``DensityCFSelector.explain``
-    ran before the density layer); the batched path is ONE tiled density
-    query plus one vectorized combined-score pass.  Outputs are asserted
-    bit-identical before timing and the batched path must hold the 3x
-    acceptance floor; the tiled scorer alone and the KDE estimator ride
-    along as informational rates.
+    sweep: ``density_rows`` inputs x ``density_candidates`` CF-VAE
+    candidates each (one :class:`repro.engine.CoreCFStrategy` run),
+    scored against a ``density_reference``-row k-NN estimator.  The
+    loop reference is the historical per-row selector
+    (:func:`_density_select_loop`, two score passes per row); the
+    batched path is the runner's density selection — ONE tiled density
+    query plus one vectorized combined-score pass over the whole sweep.
+    Picks are asserted bit-identical before timing and the batched path
+    must hold the 3x acceptance floor; the tiled scorer alone and the
+    KDE estimator ride along as informational rates.
     """
-    from ..core.selection import DensityCFSelector, generate_candidates
     from ..density import GaussianKdeDensity, KnnDensity
+    from ..engine.runner import _select_candidates_density
 
     n = spec["density_rows"]
     m = spec["density_candidates"]
+    weight = 2.0
     reference = bundle.encoded[:spec["density_reference"]]
     model = KnnDensity(k_neighbors=10).fit(reference)
-    selector = DensityCFSelector(
-        explainer, density_weight=2.0, density_model=model)
 
     x = bundle.encoded[:n]
-    candidate_sets = generate_candidates(
-        explainer, x, n_candidates=m, rng=np.random.default_rng(seed + 500))
-    sweep = np.stack([cs.candidates for cs in candidate_sets])
+    strategy = explainer.as_strategy(
+        n_candidates=m, rng=np.random.default_rng(seed + 500))
+    _, diagnostics = explainer._engine_runner().run(
+        strategy, x, return_diagnostics=True)
+    sweep = diagnostics["candidates"]
+    valid, feasible = diagnostics["valid"], diagnostics["feasible"]
 
-    x_cf_fast, diag_fast = selector.select_batch(candidate_sets)
-    x_cf_loop, diag_loop = selector._select_loop(candidate_sets)
-    if not np.array_equal(x_cf_fast, x_cf_loop) or diag_fast != diag_loop:
+    def batched():
+        return _select_candidates_density(
+            x, sweep, valid, feasible, model.score_tiled(sweep), weight)
+
+    def loop():
+        return _density_select_loop(model, x, sweep, valid, feasible, weight)
+
+    if not np.array_equal(batched(), loop()[0]):
         raise AssertionError(
             "batched density selection diverges from the per-row loop")
     if not np.array_equal(model.score_tiled(sweep), model.score_tiled_loop(sweep)):
         raise AssertionError(
             "tiled density scorer diverges from the per-row query loop")
 
-    loop_rate, loop_calls = _throughput(
-        lambda: selector._select_loop(candidate_sets), n, min_seconds)
-    fast_rate, fast_calls = _throughput(
-        lambda: selector.select_batch(candidate_sets), n, min_seconds)
+    loop_rate, loop_calls = _throughput(loop, n, min_seconds)
+    fast_rate, fast_calls = _throughput(batched, n, min_seconds)
     speedup = fast_rate / loop_rate
     if speedup < MIN_DENSITY_SPEEDUP:
         raise AssertionError(
@@ -761,19 +812,19 @@ def _inloss_section(bundle, spec, seed):
     causal = ScmCausalModel(bundle.encoder).fit(x_train)
 
     def acceptance(explainer):
-        sets = generate_candidates(
-            explainer, rows, n_candidates=m,
-            rng=np.random.default_rng(seed + 4242))
-        sweep = np.stack([cs.candidates for cs in sets])
-        usable = np.stack([cs.usable_mask for cs in sets])
+        strategy = explainer.as_strategy(
+            n_candidates=m, rng=np.random.default_rng(seed + 4242))
+        _, diagnostics = explainer._engine_runner().run(
+            strategy, rows, return_diagnostics=True)
+        sweep = diagnostics["candidates"]
+        usable = diagnostics["valid"] & diagnostics["feasible"]
         flat = sweep.reshape(-1, sweep.shape[-1])
         dense = (knn.score(flat) <= threshold).reshape(usable.shape)
         repaired = causal.repair_batch(rows, sweep)
         plausible = (np.abs(repaired - sweep).max(axis=-1)
                      <= INLOSS_CAUSAL_TOLERANCE)
         accepted = usable & dense & plausible
-        validity = float(
-            np.stack([cs.valid for cs in sets]).any(axis=1).mean())
+        validity = float(diagnostics["valid"].any(axis=1).mean())
         n_accepted = int(accepted.sum())
         return {
             "accepted": n_accepted,
@@ -1062,11 +1113,13 @@ def run_perfbench(scale="smoke", seed=0):
     x_explain = x_train[:spec["candidate_rows"]]
     desired = resolve_desired(explainer.blackbox, x_explain, None)
 
+    runner = explainer._engine_runner()
+
     def candidates_once():
-        generate_candidates(explainer, x_explain,
-                            n_candidates=spec["n_candidates"],
-                            desired=desired,
-                            rng=np.random.default_rng(seed + 500))
+        strategy = explainer.as_strategy(
+            n_candidates=spec["n_candidates"],
+            rng=np.random.default_rng(seed + 500))
+        runner.run(strategy, x_explain, desired)
 
     candidate_rate, candidate_calls = _throughput(
         candidates_once, len(x_explain), min_seconds)

@@ -115,7 +115,7 @@ class ExplanationService:
         Trade-off ``lambda`` of the density-aware selection score.
     density_candidates:
         Candidates per row the core path proposes when ``density`` is
-        set (ignored with an explicit ``strategy``).
+        set (at least 1; ignored with an explicit ``strategy``).
     causal:
         Optional fitted :class:`repro.causal.CausalModel`.  When given,
         the engine runner hosts it: every cache-miss batch is causally
@@ -149,6 +149,8 @@ class ExplanationService:
         self.density = density
         self.density_weight = float(density_weight)
         self.density_candidates = int(density_candidates)
+        if self.density_candidates < 1:
+            raise ValueError(f"density_candidates must be >= 1, got {density_candidates}")
         self.causal = causal
         self.ensemble = ensemble
         self.robust_quorum = float(robust_quorum)
@@ -564,12 +566,21 @@ class ExplanationService:
         pass.  A served strategy or any hosted overlay answers with the
         same strategy as :meth:`explain_batch`; the plain core path
         instead proposes ``n_candidates`` latent perturbations per
-        ticket (drawn from ``rng``, the
-        :func:`~repro.core.selection.generate_candidates` stream) and
-        the closest valid & feasible candidate wins.  Each ticket
-        reports the black box's actual prediction for its
+        ticket (a :class:`~repro.engine.CoreCFStrategy` sweep drawn from
+        ``rng``) and the closest valid & feasible candidate wins.  Each
+        ticket reports the black box's actual prediction for its
         counterfactual.  Returns the resolved tickets.
+
+        The strategy is built before the queue is taken, so a bad
+        ``n_candidates`` raises with every ticket still pending.
         """
+        strategy = self.strategy
+        if strategy is None:
+            if any(model is not None for model in (self.density, self.causal, self.ensemble)):
+                strategy = self.core_strategy
+            else:
+                strategy = CoreCFStrategy(self.explainer, n_candidates=n_candidates, rng=rng)
+
         # swap the queue atomically: a concurrent submit lands either in
         # this flush or the next one, never in both and never in neither
         with self._lock:
@@ -582,12 +593,6 @@ class ExplanationService:
         desired = resolve_desired(
             self.explainer.blackbox, rows, [ticket.desired for ticket in tickets])
 
-        strategy = self.strategy
-        if strategy is None:
-            if any(model is not None for model in (self.density, self.causal, self.ensemble)):
-                strategy = self.core_strategy
-            else:
-                strategy = CoreCFStrategy(self.explainer, n_candidates=n_candidates, rng=rng)
         result, diagnostics = self.runner.run(strategy, rows, desired, return_diagnostics=True)
         for i, (ticket, target) in enumerate(zip(tickets, desired)):
             ticket._result = {

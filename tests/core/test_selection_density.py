@@ -1,12 +1,24 @@
-"""Density-layer selection tests: parity, single score pass, fit contract."""
+"""Density-aware Figure 3 selection: parity, single score pass, reference.
 
+Selection is :class:`repro.engine.EngineRunner` hosting a density model
+over a :class:`repro.engine.CoreCFStrategy` sweep; the reference
+population is the valid & feasible part of the explainer's one-shot
+output.  The runner's pick is pinned to the independent per-row
+reference :func:`tests.helpers.serving.density_pick` on every registry
+dataset, for both the k-NN and the KDE estimator.
+"""
+
+import numpy as np
 import pytest
 
-from repro.core import DensityCFSelector, FeasibleCFExplainer, fast_config
+from repro.core import FeasibleCFExplainer, fast_config
 from repro.data import load_dataset
 from repro.density import GaussianKdeDensity, KnnDensity
+from repro.engine import CoreCFStrategy, EngineRunner
+from repro.experiments.perfbench import _density_select_loop
 from repro.utils.validation import SchemaMismatchError
-from tests.helpers.parity import DATASETS, assert_batched_matches_loop
+from tests.helpers.parity import DATASETS
+from tests.helpers.serving import density_pick, sweep_sets
 
 
 def _fit_explainer(dataset, seed=0):
@@ -26,28 +38,46 @@ def fitted(request):
     return _fit_explainer(request.param)
 
 
+def fit_reference(explainer, x_reference, model):
+    """Fit ``model`` on the valid & feasible counterfactuals of ``x_reference``."""
+    result = explainer.explain(x_reference)
+    return model.fit(result.x_cf[result.valid & result.feasible])
+
+
+def density_run(explainer, rows, model, n_candidates, weight=1.0, seed=3):
+    runner = EngineRunner(explainer.encoder, explainer.blackbox, density=model,
+                          density_weight=weight)
+    strategy = CoreCFStrategy(explainer, n_candidates=n_candidates,
+                              rng=np.random.default_rng(seed))
+    return runner.run(strategy, rows, return_diagnostics=True)
+
+
+def assert_matches_per_row_pick(result, diagnostics, model, weight):
+    sets = sweep_sets(result.x, diagnostics)
+    chosen = np.array([density_pick(s, model, weight) for s in sets])
+    np.testing.assert_array_equal(diagnostics["chosen"], chosen)
+    np.testing.assert_array_equal(
+        result.x_cf, np.stack([s.candidates[c] for s, c in zip(sets, chosen)]))
+    np.testing.assert_array_equal(
+        result.feasible, [s.feasible[c] for s, c in zip(sets, chosen)])
+    np.testing.assert_array_equal(
+        diagnostics["n_usable"], [s.usable_mask.sum() for s in sets])
+
+
 class TestBatchLoopParity:
-    """The batched explain must reproduce the pre-PR per-row loop exactly."""
+    """The runner's density pick must reproduce the per-row reference exactly."""
 
     def test_explain_bit_identical_to_loop(self, fitted):
         explainer, x_train, rows = fitted
-        selector = DensityCFSelector(explainer, density_weight=2.0, k_neighbors=6)
-        selector.fit_reference(x_train[:150])
-        assert_batched_matches_loop(
-            selector.explain, selector._explain_loop, rows, n_candidates=7,
-            context="density explain")
+        model = fit_reference(explainer, x_train[:150], KnnDensity(k_neighbors=6))
+        result, diagnostics = density_run(explainer, rows, model, 7, weight=2.0)
+        assert_matches_per_row_pick(result, diagnostics, model, 2.0)
 
     def test_kde_estimator_selects_equivalently(self, fitted):
-        # the kde backend is matmul-based, so scores match within float
-        # tolerance rather than bitwise (BLAS blocking varies with batch
-        # shape); the selected counterfactuals still agree
         explainer, x_train, rows = fitted
-        selector = DensityCFSelector(
-            explainer, k_neighbors=6, density_model=GaussianKdeDensity())
-        selector.fit_reference(x_train[:150])
-        assert_batched_matches_loop(
-            selector.explain, selector._explain_loop, rows[:6], n_candidates=5,
-            atol=1e-6, context="kde density explain")
+        model = fit_reference(explainer, x_train[:150], GaussianKdeDensity())
+        result, diagnostics = density_run(explainer, rows[:6], model, 5)
+        assert_matches_per_row_pick(result, diagnostics, model, 1.0)
 
 
 class _CountingKnn(KnnDensity):
@@ -70,67 +100,34 @@ class _CountingKnn(KnnDensity):
 class TestSingleScorePass:
     def test_explain_scores_each_batch_once(self, fitted):
         explainer, x_train, rows = fitted
-        model = _CountingKnn(k_neighbors=6)
-        selector = DensityCFSelector(explainer, density_model=model)
-        selector.fit_reference(x_train[:150])
-        model.score_calls = 0
-        model.tiled_calls = 0
-        selector.explain(rows, n_candidates=6)
+        model = fit_reference(explainer, x_train[:150], _CountingKnn(k_neighbors=6))
+        density_run(explainer, rows, model, 6)
         # one tiled pass for the whole batch; score() only as its backend
         assert model.tiled_calls == 1
         assert model.score_calls == 1
 
     def test_loop_reference_scored_twice_per_row(self, fitted):
-        # documents the historical cost the batched path removed
+        # the historical per-row selector the perfbench density section
+        # times the runner against scores every candidate set twice
         explainer, x_train, rows = fitted
-        model = _CountingKnn(k_neighbors=6)
-        selector = DensityCFSelector(explainer, density_model=model)
-        selector.fit_reference(x_train[:150])
+        model = fit_reference(explainer, x_train[:150], _CountingKnn(k_neighbors=6))
+        _, diagnostics = density_run(explainer, rows, model, 6)
         model.score_calls = 0
-        selector._explain_loop(rows, n_candidates=6)
+        chosen, _ = _density_select_loop(
+            model, rows, diagnostics["candidates"], diagnostics["valid"],
+            diagnostics["feasible"], 1.0)
         assert model.score_calls == 2 * len(rows)
+        np.testing.assert_array_equal(chosen, diagnostics["chosen"])
 
 
 class TestFitReferenceContract:
     def test_wrong_width_raises_schema_error(self, fitted):
         explainer, x_train, _ = fitted
-        selector = DensityCFSelector(explainer)
-        with pytest.raises(SchemaMismatchError, match="x_reference"):
-            selector.fit_reference(x_train[:50, :-1])
-
-    def test_kde_model_small_population_does_not_warn(self, fitted):
-        # the k-clamping warning is a k-NN statement; a KDE has no k
-        import warnings as warnings_module
-
-        explainer, x_train, _ = fitted
-        selector = DensityCFSelector(
-            explainer, k_neighbors=100_000, density_model=GaussianKdeDensity())
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
-            selector.fit_reference(x_train[:60])
-        assert selector.n_reference > 0
-
-    def test_warning_uses_the_injected_models_k(self, fitted):
-        explainer, x_train, _ = fitted
-        model = KnnDensity(k_neighbors=100_000)
-        selector = DensityCFSelector(explainer, k_neighbors=2, density_model=model)
-        with pytest.warns(UserWarning, match="k_neighbors=100000"):
-            selector.fit_reference(x_train[:60])
-
-    def test_small_population_warns_and_fits(self, fitted):
-        explainer, x_train, rows = fitted
-        selector = DensityCFSelector(explainer, k_neighbors=100_000)
-        with pytest.warns(UserWarning, match="density scores will use"):
-            selector.fit_reference(x_train[:60])
-        assert selector.n_reference > 0
-        # usable end to end despite the shrunken k
-        x_cf, diagnostics = selector.explain(rows[:3], n_candidates=4)
-        assert x_cf.shape == (3, x_train.shape[1])
-        assert len(diagnostics) == 3
+        with pytest.raises(SchemaMismatchError):
+            fit_reference(explainer, x_train[:50, :-1], KnnDensity())
 
     def test_zero_feasible_references_raise(self, fitted, monkeypatch):
         explainer, x_train, _ = fitted
-        selector = DensityCFSelector(explainer)
         real = explainer.explain
 
         def no_feasible(x, desired=None):
@@ -139,11 +136,10 @@ class TestFitReferenceContract:
             return result
 
         monkeypatch.setattr(explainer, "explain", no_feasible)
-        with pytest.raises(ValueError, match="no valid & feasible"):
-            selector.fit_reference(x_train[:40])
+        with pytest.raises(ValueError, match="non-empty"):
+            fit_reference(explainer, x_train[:40], KnnDensity())
 
     def test_unfitted_explain_raises(self, fitted):
         explainer, _, rows = fitted
-        selector = DensityCFSelector(explainer)
-        with pytest.raises(RuntimeError, match="no reference"):
-            selector.explain(rows[:2], n_candidates=3)
+        with pytest.raises(RuntimeError, match="not fitted"):
+            density_run(explainer, rows[:2], KnnDensity(), 3)

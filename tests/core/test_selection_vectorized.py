@@ -1,18 +1,21 @@
-"""Vectorized candidate generation must reproduce the per-row loop.
+"""The batched Figure 3 sweep must reproduce the per-row loop.
 
-``generate_candidates`` decodes all ``n_rows * n_candidates`` latents in
-one batched pass with a single black-box validity call and a single
-constraint feasibility call.  These tests pin it against
-``_generate_candidates_loop`` — the original per-row reference — given
-identically seeded rngs: same candidates, same valid/feasible flags.
+A multi-candidate :class:`repro.engine.CoreCFStrategy` run through
+:class:`repro.engine.EngineRunner` decodes all ``n_rows * n_candidates``
+latents in one batched pass with a single black-box validity call and a
+single feasibility kernel pass.  These tests pin its sweep diagnostics
+against :func:`tests.helpers.serving.generate_candidates_loop` — the
+independent per-row reference — given identically seeded rngs: same
+candidates (up to BLAS blocking, 1e-12), same valid/feasible flags.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import FeasibleCFExplainer, fast_config, generate_candidates
-from repro.core.selection import _generate_candidates_loop
+from repro.core import FeasibleCFExplainer, fast_config
 from repro.data import load_dataset
+from repro.engine import CoreCFStrategy
+from tests.helpers.serving import generate_candidates_loop, run_sweep
 
 
 @pytest.fixture(scope="module")
@@ -28,70 +31,68 @@ def fitted():
     return explainer, negatives
 
 
-def _pair(explainer, x, **kwargs):
-    seed = kwargs.pop("rng_seed", 42)
-    vectorized = generate_candidates(
-        explainer, x, rng=np.random.default_rng(seed), **kwargs)
-    looped = _generate_candidates_loop(
-        explainer, x, rng=np.random.default_rng(seed), **kwargs)
-    return vectorized, looped
+def _pair(explainer, x, n_candidates, noise_scale=None, desired=None, rng_seed=42):
+    batched = run_sweep(explainer, x, n_candidates, desired, noise_scale=noise_scale,
+                        rng=np.random.default_rng(rng_seed))
+    looped = generate_candidates_loop(
+        explainer, x, n_candidates=n_candidates, noise_scale=noise_scale,
+        desired=desired, rng=np.random.default_rng(rng_seed))
+    return batched, looped
+
+
+def assert_candidates_match(batched, looped):
+    assert len(batched["candidates"]) == len(looped)
+    for candidates, loop_set in zip(batched["candidates"], looped):
+        np.testing.assert_allclose(candidates, loop_set.candidates, rtol=0, atol=1e-12)
 
 
 class TestVectorizedMatchesLoop:
     def test_candidates_identical(self, fitted):
         explainer, negatives = fitted
-        vectorized, looped = _pair(explainer, negatives, n_candidates=12)
-        assert len(vectorized) == len(looped) == len(negatives)
-        for vec_set, loop_set in zip(vectorized, looped):
-            np.testing.assert_array_equal(vec_set.x, loop_set.x)
-            np.testing.assert_allclose(vec_set.candidates, loop_set.candidates,
-                                       rtol=0, atol=1e-12)
+        batched, looped = _pair(explainer, negatives, n_candidates=12)
+        assert len(looped) == len(negatives)
+        for loop_set, row in zip(looped, negatives):
+            np.testing.assert_array_equal(loop_set.x, row)
+        assert_candidates_match(batched, looped)
 
     def test_valid_and_feasible_flags_identical(self, fitted):
         explainer, negatives = fitted
-        vectorized, looped = _pair(explainer, negatives, n_candidates=12)
-        for vec_set, loop_set in zip(vectorized, looped):
-            np.testing.assert_array_equal(vec_set.valid, loop_set.valid)
-            np.testing.assert_array_equal(vec_set.feasible, loop_set.feasible)
+        batched, looped = _pair(explainer, negatives, n_candidates=12)
+        np.testing.assert_array_equal(batched["valid"], np.stack([s.valid for s in looped]))
+        np.testing.assert_array_equal(
+            batched["feasible"], np.stack([s.feasible for s in looped]))
+        np.testing.assert_array_equal(
+            batched["n_usable"], [s.usable_mask.sum() for s in looped])
 
     def test_explicit_desired_and_noise(self, fitted):
         explainer, negatives = fitted
         desired = np.ones(len(negatives), dtype=int)
-        vectorized, looped = _pair(explainer, negatives, n_candidates=7,
-                                   noise_scale=0.3, desired=desired)
-        for vec_set, loop_set in zip(vectorized, looped):
-            np.testing.assert_allclose(vec_set.candidates, loop_set.candidates,
-                                       rtol=0, atol=1e-12)
-            np.testing.assert_array_equal(vec_set.valid, loop_set.valid)
+        batched, looped = _pair(explainer, negatives, n_candidates=7,
+                                noise_scale=0.3, desired=desired)
+        assert_candidates_match(batched, looped)
+        np.testing.assert_array_equal(batched["valid"], np.stack([s.valid for s in looped]))
 
     def test_single_row(self, fitted):
         explainer, negatives = fitted
-        vectorized, looped = _pair(explainer, negatives[:1], n_candidates=5)
-        np.testing.assert_allclose(vectorized[0].candidates,
-                                   looped[0].candidates, rtol=0, atol=1e-12)
+        batched, looped = _pair(explainer, negatives[:1], n_candidates=5)
+        assert_candidates_match(batched, looped)
 
     def test_single_candidate(self, fitted):
         explainer, negatives = fitted
-        vectorized, looped = _pair(explainer, negatives[:3], n_candidates=1)
-        for vec_set, loop_set in zip(vectorized, looped):
-            np.testing.assert_allclose(vec_set.candidates, loop_set.candidates,
-                                       rtol=0, atol=1e-12)
+        batched, looped = _pair(explainer, negatives[:3], n_candidates=1)
+        assert_candidates_match(batched, looped)
 
     def test_first_candidate_deterministic(self, fitted):
         explainer, negatives = fitted
-        sets = generate_candidates(explainer, negatives[:4], n_candidates=6,
-                                   rng=np.random.default_rng(0))
+        diagnostics = run_sweep(explainer, negatives[:4], 6, rng=np.random.default_rng(0))
         deterministic = explainer.explain(negatives[:4]).x_cf
-        for i, candidate_set in enumerate(sets):
-            np.testing.assert_allclose(candidate_set.candidates[0],
-                                       deterministic[i], atol=1e-9)
+        np.testing.assert_allclose(diagnostics["candidates"][:, 0], deterministic, atol=1e-9)
 
     def test_rng_stream_consumed_identically(self, fitted):
-        """After generation both rngs are in the same state."""
+        """After proposing, the strategy's rng and the loop's are in the same state."""
         explainer, negatives = fitted
         rng_vec = np.random.default_rng(5)
         rng_loop = np.random.default_rng(5)
-        generate_candidates(explainer, negatives[:3], n_candidates=4, rng=rng_vec)
-        _generate_candidates_loop(explainer, negatives[:3], n_candidates=4,
-                                  rng=rng_loop)
+        CoreCFStrategy(explainer, n_candidates=4, rng=rng_vec).propose(negatives[:3])
+        generate_candidates_loop(explainer, negatives[:3], n_candidates=4, rng=rng_loop)
         assert rng_vec.random() == rng_loop.random()

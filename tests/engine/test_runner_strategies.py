@@ -14,7 +14,7 @@ from repro.data import load_dataset
 from repro.engine import EngineRunner, build_strategy
 from repro.engine.runner import _select_candidates
 from repro.metrics import evaluate_counterfactuals
-from tests.helpers.serving import pick_candidate
+from tests.helpers.serving import CandidateSet, pick_candidate
 
 
 @pytest.fixture(scope="module")
@@ -140,22 +140,13 @@ class TestSelection:
     def test_matches_serving_pick_candidate(self):
         rng = np.random.default_rng(0)
         n, m, d = 12, 8, 5
-
-        class _Set:
-            pass
-
         x = rng.random((n, d))
         candidates = rng.random((n, m, d))
         valid = rng.random((n, m)) < 0.4
         feasible = rng.random((n, m)) < 0.5
         chosen = _select_candidates(x, candidates, valid, feasible)
         for i in range(n):
-            cs = _Set()
-            cs.x = x[i]
-            cs.candidates = candidates[i]
-            cs.valid = valid[i]
-            cs.feasible = feasible[i]
-            cs.usable_mask = valid[i] & feasible[i]
+            cs = CandidateSet(x[i], candidates[i], valid[i], feasible[i])
             assert chosen[i] == pick_candidate(cs)
 
     def test_fallback_is_deterministic_candidate(self):

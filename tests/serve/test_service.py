@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.serve import ArtifactStore, ExplanationService
-from tests.helpers.serving import pick_candidate
+from tests.helpers.serving import generate_candidates_loop, pick_candidate
 
 
 @pytest.fixture()
@@ -100,14 +100,12 @@ class TestMicroBatching:
             assert 0 <= result["chosen"] < 5
 
     def test_flush_matches_direct_candidate_sweep(self, service, explain_rows):
-        from repro.core import generate_candidates
-
         rows = explain_rows[:4]
         tickets = [service.submit(row) for row in rows]
         service.flush(n_candidates=6, rng=np.random.default_rng(3))
 
         desired = 1 - service.explainer.blackbox.predict(rows)
-        candidate_sets = generate_candidates(
+        candidate_sets = generate_candidates_loop(
             service.explainer,
             rows,
             n_candidates=6,
@@ -116,8 +114,9 @@ class TestMicroBatching:
         )
         for ticket, candidate_set in zip(tickets, candidate_sets):
             index = pick_candidate(candidate_set)
-            assert np.array_equal(
-                ticket.result()["x_cf"], candidate_set.candidates[index]
+            assert ticket.result()["chosen"] == index
+            np.testing.assert_allclose(
+                ticket.result()["x_cf"], candidate_set.candidates[index], rtol=0, atol=1e-12
             )
             assert ticket.result()["predicted"] == service.explainer.blackbox.predict(
                 ticket.result()["x_cf"][None, :])[0]
@@ -141,6 +140,21 @@ class TestMicroBatching:
     def test_flush_with_nothing_pending(self, service):
         assert service.flush() == []
         assert service.stats["flushes"] == 0
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_bad_candidate_count_keeps_tickets_pending(self, service, explain_rows, bad):
+        tickets = [service.submit(row) for row in explain_rows[:4]]
+        with pytest.raises(ValueError, match="n_candidates must be >= 1"):
+            service.flush(n_candidates=bad)
+        assert service.pending == 4
+        assert not any(ticket.ready for ticket in tickets)
+        assert service.flush(n_candidates=3) == tickets
+        assert all(ticket.ready for ticket in tickets)
+
+    @pytest.mark.parametrize("bad", [0, -2])
+    def test_bad_density_candidates_rejected_at_construction(self, tiny_pipeline, bad):
+        with pytest.raises(ValueError, match="density_candidates must be >= 1"):
+            ExplanationService(tiny_pipeline, density_candidates=bad)
 
 
 class TestStats:

@@ -6,23 +6,27 @@ each answer without the runner and require bit-identical outputs:
 
 * ``explain_batch`` on the core path equals ``generator.generate`` plus
   one fresh black-box predict and one compiled-kernel feasibility pass;
-* ``flush`` on the core path equals ``generate_candidates`` with the
+* ``flush`` on the core path equals the per-row candidate sweep
+  (:func:`tests.helpers.serving.generate_candidates_loop`) with the
   closest-L1 valid & feasible pick (:func:`tests.helpers.serving.pick_candidate`);
 * a causal-only service (one candidate per row) equals the same
   one-shot decode, causally repaired;
 * a density service (``density_candidates`` per row) equals the same
-  ``generate_candidates`` sweep ranked by :class:`DensityCFSelector`.
+  per-row sweep ranked by the Figure 3 proximity+density pick
+  (:func:`tests.helpers.serving.density_pick`).
+
+The per-row sweep decodes one row at a time, so its candidates match
+the batched decode up to BLAS blocking (1e-12); every flag and every
+chosen index must match exactly.
 """
 
 import numpy as np
 import pytest
 
 from repro.causal import ScmCausalModel
-from repro.core import generate_candidates
-from repro.core.selection import DensityCFSelector
 from repro.density import KnnDensity
 from repro.serve import ExplanationService
-from tests.helpers.serving import pick_candidate
+from tests.helpers.serving import density_pick, generate_candidates_loop, pick_candidate
 
 N_ROWS = 37
 DENSITY_CANDIDATES = 6
@@ -83,12 +87,13 @@ class TestCoreService:
         batch = rows[:n_tickets]
         answers = flush_all(service, batch, n_candidates=8,
                             rng=np.random.default_rng(5))
-        candidate_sets = generate_candidates(
+        candidate_sets = generate_candidates_loop(
             explainer, batch, n_candidates=8, desired=flip(explainer, batch),
             rng=np.random.default_rng(5))
         for answer, candidate_set in zip(answers, candidate_sets):
             index = pick_candidate(candidate_set)
-            np.testing.assert_array_equal(answer["x_cf"], candidate_set.candidates[index])
+            np.testing.assert_allclose(
+                answer["x_cf"], candidate_set.candidates[index], rtol=0, atol=1e-12)
             assert answer["chosen"] == index
             assert answer["valid"] == bool(candidate_set.valid[index])
             assert answer["feasible"] == bool(candidate_set.feasible[index])
@@ -98,7 +103,7 @@ class TestCoreService:
         service = ExplanationService(tiny_pipeline, cache_size=0)
         batch = rows[:5]
         answers = flush_all(service, batch)
-        candidate_sets = generate_candidates(
+        candidate_sets = generate_candidates_loop(
             service.explainer, batch, n_candidates=8,
             desired=flip(service.explainer, batch))
         for answer, candidate_set in zip(answers, candidate_sets):
@@ -132,18 +137,19 @@ class TestDensityService:
             density_candidates=DENSITY_CANDIDATES)
         explainer = service.explainer
         desired = flip(explainer, rows)
-        candidate_sets = generate_candidates(
+        candidate_sets = generate_candidates_loop(
             explainer, rows, n_candidates=DENSITY_CANDIDATES, desired=desired)
-        selector = DensityCFSelector(explainer, density_weight=1.0, density_model=density)
-        x_cf, diagnostics = selector.select_batch(candidate_sets)
-        chosen = [d["chosen"] for d in diagnostics]
+        chosen = [density_pick(cs, density, 1.0) for cs in candidate_sets]
+        x_cf = np.stack([cs.candidates[c] for cs, c in zip(candidate_sets, chosen)])
         feasible = [cs.feasible[c] for cs, c in zip(candidate_sets, chosen)]
-        predicted = explainer.blackbox.predict(x_cf)
-        assert_batch_equals(service.explain_batch(rows), x_cf, predicted, feasible)
+        result = service.explain_batch(rows)
+        np.testing.assert_allclose(result.x_cf, x_cf, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(result.predicted, explainer.blackbox.predict(x_cf))
+        np.testing.assert_array_equal(result.feasible, feasible)
 
         answers = flush_all(service, rows)
         for i, answer in enumerate(answers):
-            np.testing.assert_array_equal(answer["x_cf"], x_cf[i])
+            np.testing.assert_array_equal(answer["x_cf"], result.x_cf[i])
             assert answer["chosen"] == chosen[i]
             assert answer["feasible"] == feasible[i]
-            assert answer["n_usable"] == diagnostics[i]["n_usable"]
+            assert answer["n_usable"] == candidate_sets[i].usable_mask.sum()

@@ -14,6 +14,7 @@ from repro.serve import (
     TrainedPipeline,
 )
 from repro.serve.store import _file_sha256
+from tests.helpers.serving import run_sweep
 
 
 @pytest.fixture()
@@ -50,24 +51,14 @@ class TestRoundTrip:
         assert np.array_equal(original.feasible, restored.feasible)
 
     def test_candidates_bit_identical(self, saved, tiny_pipeline, explain_rows):
-        from repro.core import generate_candidates
-
-        original = generate_candidates(
-            tiny_pipeline.explainer,
-            explain_rows[:4],
-            n_candidates=5,
-            rng=np.random.default_rng(3),
+        original = run_sweep(
+            tiny_pipeline.explainer, explain_rows[:4], 5, rng=np.random.default_rng(3)
         )
-        restored = generate_candidates(
-            saved.load("tiny").explainer,
-            explain_rows[:4],
-            n_candidates=5,
-            rng=np.random.default_rng(3),
+        restored = run_sweep(
+            saved.load("tiny").explainer, explain_rows[:4], 5, rng=np.random.default_rng(3)
         )
-        for a, b in zip(original, restored):
-            assert np.array_equal(a.candidates, b.candidates)
-            assert np.array_equal(a.valid, b.valid)
-            assert np.array_equal(a.feasible, b.feasible)
+        for key in ("candidates", "valid", "feasible", "chosen"):
+            assert np.array_equal(original[key], restored[key])
 
     def test_loaded_provenance(self, saved, tiny_pipeline):
         loaded = saved.load("tiny")
