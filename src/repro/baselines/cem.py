@@ -10,13 +10,16 @@ with proximal gradient descent (ISTA): a gradient step on the smooth
 part followed by soft-thresholding for the L1 term.  The elastic-net
 regulariser is why CEM wins the sparsity column of Table IV while paying
 in validity and feasibility — it has no data-manifold or causal terms.
+The smooth part's gradient comes from the black box's graph-free
+pullback (``logits_vjp``), and the logits of each iterate serve both its
+hit test and the next gradient: one black-box forward per step.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..nn import Tensor, freeze_parameters, hinge_loss, restore_parameters
+from ..nn import hinge_loss_grad
 from .base import BaseCFExplainer
 
 __all__ = ["CEMExplainer"]
@@ -52,46 +55,38 @@ class CEMExplainer(BaseCFExplainer):
         """CEM needs no training — it only queries the classifier."""
 
     def _generate(self, x, desired):
-        # gradients flow through the shared black box into delta only;
-        # the flags are restored so the black box stays retrainable
-        flags = freeze_parameters(self.blackbox)
-        try:
-            return self._search(x, desired)
-        finally:
-            restore_parameters(flags)
-
-    def _search(self, x, desired):
         delta = np.zeros_like(x)
         mutable = ~self.projector.mask
         best = x.copy()
         best_found = np.zeros(len(x), dtype=bool)
+        threshold = self.beta * self.lr
+        logits, pullback = self.blackbox.logits_vjp(x + delta)
 
         for _ in range(self.steps):
-            delta_tensor = Tensor(delta, requires_grad=True)
-            candidate = Tensor(x) + delta_tensor
-            # sum-reduce so each row's gradient magnitude is independent of
-            # the batch size (hinge_loss/mean would shrink it below the
-            # soft-threshold level for large batches)
-            hinge = hinge_loss(self.blackbox.forward(candidate), desired,
-                               margin=self.kappa) * len(x)
-            ridge = (delta_tensor ** 2).sum(axis=1).sum() * self.l2_weight
-            (hinge + ridge).backward()
-            gradient = delta_tensor.grad
+            # sum-reduce the hinge (mean times the batch size) so each
+            # row's gradient magnitude is independent of the batch size
+            # (the mean alone would shrink it below the soft-threshold
+            # level for large batches)
+            hinge = pullback(hinge_loss_grad(logits, desired, margin=self.kappa,
+                                             scale=len(x)))
+            ridge = (self.l2_weight * 2) * delta
+            gradient = hinge + ridge
 
             # gradient step on the smooth part, then soft-threshold (ISTA)
             stepped = delta - self.lr * gradient
-            threshold = self.beta * self.lr
             delta = np.sign(stepped) * np.maximum(np.abs(stepped) - threshold, 0.0)
             delta[:, ~mutable] = 0.0
             # keep candidates inside the valid encoded range
             delta = np.clip(x + delta, 0.0, 1.0) - x
 
-            predictions = self.blackbox.predict(x + delta)
-            hits = predictions == desired
+            # this iterate's logits: its hits now, the next step's gradient
+            candidate = x + delta
+            logits, pullback = self.blackbox.logits_vjp(candidate)
+            hits = (logits > 0.0) == desired
             improved = hits & (
                 ~best_found
                 | (np.abs(delta).sum(axis=1) < np.abs(best - x).sum(axis=1)))
-            best[improved] = (x + delta)[improved]
+            best[improved] = candidate[improved]
             best_found |= hits
 
         # rows never flipped return their last iterate (still sparse)

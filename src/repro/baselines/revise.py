@@ -8,7 +8,9 @@ encoding of the input and optimised to minimise
 
 so the counterfactual stays on the learned data manifold.  We batch the
 optimisation — all instances' latents update simultaneously (they are
-independent in the loss).
+independent in the loss).  Gradients come from the graph-free pullbacks
+of the frozen decoder and black box (``decode_vjp``, ``logits_vjp``), not
+an autograd tape, so the search never touches a ``requires_grad`` flag.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..models import ConditionalVAE, train_reconstruction_vae
-from ..nn import Adam, Tensor, freeze_parameters, hinge_loss, no_grad, restore_parameters
+from ..nn import Adam, Tensor, hinge_loss_grad
 from .base import BaseCFExplainer
 
 __all__ = ["ReviseExplainer"]
@@ -59,32 +61,21 @@ class ReviseExplainer(BaseCFExplainer):
             lr=3e-3, beta=0.02, rng=np.random.default_rng(self.seed + 2))
 
     def _generate(self, x, desired):
-        # gradients flow through the VAE and the shared black box into z
-        # only; the flags are restored so the black box stays retrainable
-        flags = freeze_parameters(self.vae, self.blackbox)
-        try:
-            return self._search(x, desired)
-        finally:
-            restore_parameters(flags)
-
-    def _search(self, x, desired):
         self.vae.eval()
         zeros = np.zeros(len(x))
-
-        with no_grad():
-            mu, _ = self.vae.encode(Tensor(x), zeros)
-        z = Tensor(mu.data.copy(), requires_grad=True)
+        mu, _ = self.vae.encode_array(x, zeros)
+        # Adam updates z.data from the z.grad each step sets
+        z = Tensor(mu.copy())
         optimizer = Adam([z], lr=self.lr)
-        x_tensor = Tensor(x)
+        # d(lambda * mean|decoded - x|) / d decoded = this * sign(decoded - x)
+        distance_scale = self.distance_weight * (1.0 / x.size)
 
         for _ in range(self.steps):
-            optimizer.zero_grad()
-            decoded = self.vae.decode(z, zeros)
-            validity = hinge_loss(self.blackbox.forward(decoded), desired,
-                                  margin=0.5)
-            distance = (decoded - x_tensor).abs().mean()
-            (validity + distance * self.distance_weight).backward()
+            decoded, decode_pullback = self.vae.decode_vjp(z.data, zeros)
+            logits, logits_pullback = self.blackbox.logits_vjp(decoded)
+            validity = logits_pullback(hinge_loss_grad(logits, desired, margin=0.5))
+            distance = distance_scale * np.sign(decoded - x)
+            z.grad = decode_pullback(validity + distance)
             optimizer.step()
 
-        with no_grad():
-            return self.vae.decode(Tensor(z.data), zeros).data
+        return self.vae.decode_array(z.data, zeros)

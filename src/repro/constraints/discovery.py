@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from ..data.schema import FeatureType
 from .base import ConstraintSet
@@ -161,7 +160,11 @@ class ConstraintMiner:
         low, high = self.encoder.ranges[effect_spec.name]
         if not np.isfinite(high - low) or high - low <= 0:
             return None
-        rho = float(stats.spearmanr(levels, effect).statistic)
+        # imported here: scipy.stats costs ~30 MiB of resident memory and
+        # only rule mining needs it
+        from scipy.stats import spearmanr
+
+        rho = float(spearmanr(levels, effect).statistic)
         if not np.isfinite(rho) or rho <= 0:
             return None
 

@@ -28,7 +28,6 @@ import hashlib
 import json
 import os
 import pathlib
-import urllib.request
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,6 +118,10 @@ def _record_checksum(cache, filename, digest):
 
 def _default_fetcher(url, dest):
     """Stream ``url`` to ``dest`` (atomic: partial downloads never land)."""
+    # imported here so that importing the package never loads the
+    # network stack; only a real download needs it
+    import urllib.request
+
     partial = dest.with_suffix(dest.suffix + ".part")
     with urllib.request.urlopen(url, timeout=60) as response, open(partial, "wb") as out:
         while True:

@@ -57,6 +57,19 @@ class BlackBoxClassifier(Module):
         x = check_2d_fast(x, "x")
         return self.network.forward_array(x).reshape(-1)
 
+    def logits_vjp(self, x):
+        """Graph-free logits plus their vector-Jacobian product in ``x``.
+
+        Returns ``(logits, pullback)``: ``logits`` equals
+        :meth:`predict_logits` and ``pullback(grad)`` maps a ``(batch,)``
+        gradient with respect to the logits to the ``(batch, features)``
+        gradient with respect to ``x``, bit-identical to backpropagating
+        through :meth:`forward`.  No parameter gradient is formed and no
+        ``requires_grad`` flag is touched.
+        """
+        logits, network_pullback = self.network.forward_vjp(check_2d_fast(x, "x"))
+        return logits.reshape(-1), lambda grad: network_pullback(grad.reshape(-1, 1))
+
     def predict_proba(self, x):
         """P(class = 1) per row."""
         return sigmoid_forward(self.predict_logits(x))

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn import Dropout, Linear, Module, ReLU, Sequential, Tensor, no_grad
-from ..nn.functional import sigmoid_forward
+from ..nn.functional import sigmoid_backward, sigmoid_forward
 
 __all__ = ["ConditionalVAE", "LATENT_DIM", "ENCODER_WIDTHS", "DECODER_WIDTHS"]
 
@@ -146,6 +146,27 @@ class ConditionalVAE(Module):
         """Graph-free :meth:`decode`: features as a plain ndarray."""
         hidden = self.decoder_trunk.forward_array(self._with_class_array(z, labels))
         return sigmoid_forward(self.output_head.forward_array(hidden))
+
+    def decode_vjp(self, z, labels):
+        """Graph-free :meth:`decode` plus its vector-Jacobian product in ``z``.
+
+        Returns ``(features, pullback)``: ``features`` equals
+        :meth:`decode_array` and ``pullback(grad)`` maps a gradient with
+        respect to the features to the gradient with respect to ``z``,
+        bit-identical to backpropagating through :meth:`decode`.  Dropout
+        must be the identity (eval mode or ``p == 0``).
+        """
+        hidden, trunk_pullback = self.decoder_trunk.forward_vjp(
+            self._with_class_array(z, labels))
+        logits, head_pullback = self.output_head.forward_vjp(hidden)
+        features = sigmoid_forward(logits)
+        latent_dim = np.shape(z)[1]
+
+        def pullback(grad):
+            grad = trunk_pullback(head_pullback(sigmoid_backward(grad, features)))
+            return grad[:, :latent_dim]
+
+        return features, pullback
 
     def reconstruct(self, x, labels):
         """Deterministic eval-mode reconstruction (z = mu), as ndarray."""

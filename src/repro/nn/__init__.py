@@ -23,6 +23,7 @@ from .losses import (
     cross_entropy,
     gaussian_kl,
     hinge_loss,
+    hinge_loss_grad,
     l1_loss,
     logsumexp,
     mse_loss,
@@ -48,7 +49,7 @@ __all__ = [
     "get_default_dtype", "set_default_dtype", "dtype_scope",
     "Module", "Linear", "ReLU", "Sigmoid", "Tanh", "Dropout", "Sequential",
     "freeze_parameters", "restore_parameters",
-    "bce_with_logits", "cross_entropy", "hinge_loss", "l1_loss", "mse_loss",
+    "bce_with_logits", "cross_entropy", "hinge_loss", "hinge_loss_grad", "l1_loss", "mse_loss",
     "gaussian_kl", "logsumexp", "softmax",
     "Optimizer", "SGD", "Adam",
     "save_state", "load_state",

@@ -74,6 +74,21 @@ class Module:
         with no_grad():
             return self.forward(as_tensor(x)).data
 
+    def forward_vjp(self, x):
+        """Graph-free forward plus its vector-Jacobian product in ``x``.
+
+        Returns ``(out, pullback)`` where ``out`` equals
+        :meth:`forward_array` and ``pullback(grad)`` maps a gradient with
+        respect to ``out`` to the gradient with respect to ``x``.  The
+        pullback applies the same :mod:`repro.nn.functional` kernels in
+        the same order as :meth:`repro.nn.Tensor.backward`, so it is
+        bit-identical to backpropagating through :meth:`forward`, but it
+        builds no graph and never forms parameter gradients: the fast
+        path for searches that differentiate a frozen model in its
+        input.
+        """
+        raise NotImplementedError(f"{type(self).__name__} has no graph-free pullback")
+
     # -- parameter / child discovery ----------------------------------
     def named_parameters(self, prefix="", include_frozen=False):
         """Yield ``(name, tensor)`` pairs for every trainable parameter.
@@ -194,6 +209,10 @@ class Linear(Module):
             x = x.astype(weight.dtype)
         return functional.linear_forward(x, weight, self.bias.data)
 
+    def forward_vjp(self, x):
+        weight = self.weight.data
+        return self.forward_array(x), lambda grad: grad @ weight.T
+
     def __repr__(self):
         return f"Linear({self.in_features}, {self.out_features})"
 
@@ -207,6 +226,10 @@ class ReLU(Module):
     def forward_array(self, x):
         return functional.relu_forward(x)
 
+    def forward_vjp(self, x):
+        out = functional.relu_forward(x)
+        return out, lambda grad: functional.relu_backward(grad, out)
+
     def __repr__(self):
         return "ReLU()"
 
@@ -219,6 +242,10 @@ class Sigmoid(Module):
 
     def forward_array(self, x):
         return functional.sigmoid_forward(x)
+
+    def forward_vjp(self, x):
+        out = functional.sigmoid_forward(x)
+        return out, lambda grad: functional.sigmoid_backward(grad, out)
 
     def __repr__(self):
         return "Sigmoid()"
@@ -267,6 +294,14 @@ class Dropout(Module):
         mask = (self._rng.random(np.shape(x)) < keep) / keep
         return x * mask.astype(np.asarray(x).dtype, copy=False)
 
+    def forward_vjp(self, x):
+        # a pullback must replay the forward's mask; only the identity
+        # (eval mode or p == 0) has one without drawing from the rng
+        if self.training and self.p != 0.0:
+            raise RuntimeError(
+                "Dropout has no pullback in training mode with p > 0; call eval()")
+        return x, lambda grad: grad
+
     def __repr__(self):
         return f"Dropout(p={self.p})"
 
@@ -287,6 +322,19 @@ class Sequential(Module):
         for layer in self.layers:
             x = layer.forward_array(x)
         return x
+
+    def forward_vjp(self, x):
+        pullbacks = []
+        for layer in self.layers:
+            x, layer_pullback = layer.forward_vjp(x)
+            pullbacks.append(layer_pullback)
+
+        def pullback(grad):
+            for layer_pullback in reversed(pullbacks):
+                grad = layer_pullback(grad)
+            return grad
+
+        return x, pullback
 
     def __getitem__(self, index):
         return self.layers[index]

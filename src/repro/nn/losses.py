@@ -15,6 +15,7 @@ __all__ = [
     "bce_with_logits",
     "cross_entropy",
     "hinge_loss",
+    "hinge_loss_grad",
     "l1_loss",
     "mse_loss",
     "gaussian_kl",
@@ -95,6 +96,24 @@ def hinge_loss(logits, desired, margin=1.0):
     signs = 2.0 * desired - 1.0
     margins = (logits * (-signs)) + margin
     return margins.clip_min(0.0).mean()
+
+
+def hinge_loss_grad(logits, desired, margin=1.0, scale=1.0):
+    """Gradient of ``scale * hinge_loss(logits, desired, margin)`` in ``logits``.
+
+    The graph-free twin of backpropagating through :func:`hinge_loss`:
+    the same ops in the same order (the mean's ``scale * (1 / n)`` kept
+    on the rows inside the margin, times ``-sign``), so the result is
+    bit-identical to the autograd gradient.  Note ``scale * (1 / n)``
+    is not exactly 1 for ``scale = n`` at some ``n`` (49, 98, ...); a
+    caller scaling by the batch size must pass ``scale`` rather than
+    drop the mean.
+    """
+    logits = np.asarray(logits)
+    desired = np.asarray(desired, dtype=np.float64)
+    negated_signs = -(2.0 * desired - 1.0)
+    inside = (logits * negated_signs) + margin > 0.0
+    return (scale * (1.0 / logits.size)) * inside * negated_signs
 
 
 def l1_loss(prediction, target):

@@ -379,7 +379,7 @@ class Tensor:
         out_data = functional.relu_forward(self.data)
 
         def backward(g):
-            return ((self, g * (out_data > 0)),)
+            return ((self, functional.relu_backward(g, out_data)),)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -391,7 +391,7 @@ class Tensor:
         out_data = functional.sigmoid_forward(self.data)
 
         def backward(g):
-            return ((self, g * out_data * (1.0 - out_data)),)
+            return ((self, functional.sigmoid_backward(g, out_data)),)
 
         return Tensor._make(out_data, (self,), backward)
 

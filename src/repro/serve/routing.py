@@ -44,8 +44,13 @@ def request_key(fingerprint, row, desired=None):
     explicit class, mirroring the cache key — the two can resolve to
     different explanations, so they may legitimately live on different
     replicas.
+
+    The row is keyed by its float64 values, so its dtype, memory order
+    and strides never split a key; ``+ 0.0`` folds ``-0.0`` into ``0.0``
+    as the cache key does, so both zeros route to the replica holding
+    their shared entry.
     """
-    row = np.ascontiguousarray(row, dtype=np.float64)
+    row = np.asarray(row, dtype=np.float64) + 0.0
     target = b"flip" if desired is None else str(int(desired)).encode()
     return fingerprint.encode() + b":" + target + b":" + row.tobytes()
 

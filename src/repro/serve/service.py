@@ -424,7 +424,9 @@ class ExplanationService:
         )
 
     def _key(self, row, desired, fingerprint):
-        return (row.tobytes(), int(desired), fingerprint)
+        # + 0.0 turns -0.0 into 0.0: both zeros are the same request (an
+        # integer payload cannot even carry -0.0), so they share an entry
+        return ((row + 0.0).tobytes(), int(desired), fingerprint)
 
     # -- rollover migration ---------------------------------------------------
     def migrate_cache(self, old_service):

@@ -95,23 +95,28 @@ def assert_close(fast, loop, atol=1e-9, context="batched vs loop"):
 
 
 def assert_grad_matches_fd(penalty_fn, x, n_coords=8, eps=1e-5, rtol=5e-3,
-                           atol=1e-6, context="analytic vs finite difference"):
+                           atol=1e-6, context="analytic vs finite difference",
+                           grad_fn=None):
     """Pin a scalar penalty's backward gradient to central differences.
 
     ``penalty_fn`` maps a :class:`repro.nn.Tensor` batch to a scalar
-    Tensor.  The analytic gradient is taken once via ``backward()``;
-    the ``n_coords`` coordinates with the largest magnitude are then
-    re-derived by central finite differences and compared.  The in-loss
-    surrogates keep their hinges squared (C^1) precisely so this check
-    is meaningful at hinge boundaries.  Returns the full analytic
-    gradient for further domain assertions.
+    Tensor.  The analytic gradient is taken once via ``backward()``, or
+    as ``grad_fn(x)`` when a hand-written gradient (a graph-free
+    pullback) is under test; the ``n_coords`` coordinates with the
+    largest magnitude are then re-derived by central finite differences
+    and compared.  The in-loss surrogates keep their hinges squared
+    (C^1) precisely so this check is meaningful at hinge boundaries.
+    Returns the full analytic gradient for further domain assertions.
     """
     from repro.nn import Tensor
 
     x = np.asarray(x, dtype=np.float64)
-    tensor = Tensor(x.copy(), requires_grad=True)
-    penalty_fn(tensor).backward()
-    grad = np.asarray(tensor.grad)
+    if grad_fn is None:
+        tensor = Tensor(x.copy(), requires_grad=True)
+        penalty_fn(tensor).backward()
+        grad = np.asarray(tensor.grad)
+    else:
+        grad = np.asarray(grad_fn(x.copy()))
     assert np.abs(grad).sum() > 0, f"{context}: gradient is identically zero"
     largest = np.argsort(np.abs(grad).ravel())[::-1][:n_coords]
     for position in largest:
