@@ -14,8 +14,6 @@ from a virtual source attached to every target vertex).
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from ..density import KnnDensity
 from .base import BaseCFExplainer
@@ -70,6 +68,10 @@ class FACEExplainer(BaseCFExplainer):
         return distances * (1.0 + self.density_weight * normalised)
 
     def _fit(self, x_train, y_train):
+        # scipy.sparse costs ~20 MiB resident; only FACE's graph needs it
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import dijkstra
+
         if len(x_train) > self.max_vertices:
             picked = self.rng.choice(len(x_train), self.max_vertices, replace=False)
             vertices = x_train[picked]

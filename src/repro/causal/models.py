@@ -335,6 +335,40 @@ class ScmCausalModel(CausalModel):
         return cls(encoder)
 
 
+def _reaches(relations, start, goal):
+    """Whether ``goal`` is ``start`` or downstream of it along ``relations``."""
+    frontier, seen = [start], set()
+    while frontier:
+        node = frontier.pop()
+        if node == goal:
+            return True
+        if node not in seen:
+            seen.add(node)
+            frontier.extend(r.effect for r in relations if r.cause == node)
+    return False
+
+
+def _causal_order(relations):
+    """``(cause, effect, slope)`` triples, each effect repaired before it is read.
+
+    The repair is one pass in list order, so a relation reading a cause
+    that a later relation lifts would leave its own effect short of the
+    implied floor (and a second repair would move it again).  This is a
+    stable topological sort: independent relations keep their order.
+    Raises ``ValueError`` when the relations form a cycle.
+    """
+    pending, ordered = list(relations), []
+    while pending:
+        for relation in pending:
+            if not any(other[1] == relation[0] for other in pending):
+                break
+        else:
+            raise ValueError(f"causal relations form a cycle: {pending}")
+        pending.remove(relation)
+        ordered.append(relation)
+    return tuple(ordered)
+
+
 class MinedCausalModel(CausalModel):
     """Monotone repair over mined "cause up implies effect up" relations.
 
@@ -347,6 +381,9 @@ class MinedCausalModel(CausalModel):
         (slope in encoded effect units per cause unit) or
         :class:`~repro.constraints.discovery.DiscoveredRelation` objects.
         When omitted, :meth:`fit` mines them from the training matrix.
+        They are applied causes-first (a stable topological order), so
+        one repair pass satisfies every relation; a cyclic list raises
+        ``ValueError``.
     max_relations, min_correlation, min_floor_monotonicity:
         Mining knobs forwarded to :class:`ConstraintMiner`.
     strict_margin:
@@ -378,7 +415,7 @@ class MinedCausalModel(CausalModel):
         self._codec = _FeatureCodec(encoder)
         self.relations = None
         if relations is not None:
-            self.relations = tuple(self._normalize(r) for r in relations)
+            self.relations = _causal_order(self._normalize(r) for r in relations)
 
     def _normalize(self, relation):
         if hasattr(relation, "cause"):
@@ -429,15 +466,15 @@ class MinedCausalModel(CausalModel):
         )
         mined = miner.mine(frame)
         # correlational mining can return both directions of one pair
-        # (zgpa <-> zfygpa); keep only the stronger direction so the
-        # repair pass never chases its own tail
-        kept, seen = [], set()
+        # (zgpa <-> zfygpa), or a longer cycle; keep the stronger
+        # relations and drop any that would close a cycle, so the repair
+        # pass never chases its own tail
+        kept = []
         for relation in mined:
-            if (relation.effect, relation.cause) in seen:
-                continue
-            seen.add((relation.cause, relation.effect))
-            kept.append(relation)
-        self.relations = tuple(self._normalize(r) for r in kept[: self.max_relations])
+            if not _reaches(kept, relation.effect, relation.cause):
+                kept.append(relation)
+        self.relations = _causal_order(
+            self._normalize(r) for r in kept[: self.max_relations])
         return self
 
     def _cause_values(self, x, cause):

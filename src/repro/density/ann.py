@@ -1,9 +1,10 @@
 """Approximate nearest-neighbour index for million-row reference sets.
 
-The exact estimators walk a ``cKDTree``, which degrades toward a linear
-scan in the ~25-dimensional one-hot encoded feature space the pipeline
-actually queries (the curse of dimensionality leaves kd-tree pruning
-nothing to prune).  :class:`AnnIndex` is an IVF-style inverted-file
+The exact estimators scan every reference row: a ``cKDTree`` degrades
+toward a linear scan in the ~25-dimensional one-hot encoded feature
+space the pipeline actually queries (the curse of dimensionality leaves
+kd-tree pruning nothing to prune), and the exact scorer's GEMM shortlist
+is a linear scan by construction.  :class:`AnnIndex` is an IVF-style inverted-file
 index in pure numpy — no new dependencies:
 
 * **fit** runs a small Lloyd's k-means (on a subsample when the

@@ -45,9 +45,10 @@ __all__ = [
 #: Estimator names the factory accepts.
 DENSITY_NAMES = ("knn", "kde", "latent")
 
-#: Neighbour-query backends the k-NN estimators accept: ``exact`` (the
-#: cKDTree — bit-identical to the historical path, always the default)
-#: or ``ann`` (the batched IVF index of :mod:`repro.density.ann`, which
+#: Neighbour-query backends the k-NN estimators accept: ``exact`` (always
+#: the default — scores bit-identical to a cKDTree query, from a GEMM
+#: shortlist with a tree fallback; ``query()`` answers from the tree) or
+#: ``ann`` (the batched IVF index of :mod:`repro.density.ann`, which
 #: trades bit-parity for a measured recall@k >= 0.9 contract and scales
 #: to million-row reference populations).
 DENSITY_BACKENDS = ("exact", "ann")
@@ -123,11 +124,12 @@ class DensityModel(ABC):
         multi-GB intermediate.  Chunking is over *query rows* and every
         estimator's per-row math is row-independent, so the result is
         bit-identical to the historical single-call flattening at any
-        budget.  For per-point backends (the k-NN tree) values are also
-        bit-identical to :meth:`score_tiled_loop`; estimators that run
-        matmuls (KDE, latent encoding) are numerically equivalent but
-        may differ at float precision because BLAS blocking varies with
-        batch shape.
+        budget.  For the exact k-NN scorer values are also bit-identical
+        to :meth:`score_tiled_loop`: its GEMM only ranks a shortlist, and
+        the returned distances are recomputed per row in a fixed order;
+        estimators whose values come from matmuls (KDE, latent encoding)
+        are numerically equivalent but may differ at float precision
+        because BLAS blocking varies with batch shape.
         """
         candidates = _check_3d(candidates)
         n, m, d = candidates.shape

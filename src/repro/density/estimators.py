@@ -10,18 +10,18 @@
   :class:`KnnDensity` over the encoded reference.
 
 The neighbour-based estimators carry a ``backend`` switch: ``"exact"``
-(the default — a ``cKDTree``, bit-identical to the historical path) or
-``"ann"`` (the batched IVF index of :mod:`repro.density.ann`, for
-100k–1M-row reference populations, recall-tested rather than
-bit-tested).  Backend choice is part of the persisted state and the
-fingerprint — two estimators only share caches when they would produce
-the same scores.
+(the default — scores bit-identical to a ``cKDTree`` query, computed by
+a blocked GEMM shortlist that falls back to the tree for any row it
+cannot certify; see :meth:`KnnDensity.score`) or ``"ann"`` (the batched
+IVF index of :mod:`repro.density.ann`, for 100k–1M-row reference
+populations, recall-tested rather than bit-tested).  Backend choice is
+part of the persisted state and the fingerprint — two estimators only
+share caches when they would produce the same scores.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ..utils.validation import check_2d
 from .ann import AnnIndex
@@ -34,6 +34,55 @@ __all__ = ["GaussianKdeDensity", "KnnDensity", "LatentDensity"]
 #: out of exact-backend state so exact fingerprints (and old persisted
 #: overlays) are byte-for-byte what they were before the backend seam.
 _ANN_STATE_KEYS = ("backend", "ann_cells", "ann_probes", "ann_seed")
+
+
+#: Float64 elements one block of the exact k-NN shortlist may hold
+#: (query rows x reference rows): ~64 query rows against 1.5k reference
+#: rows.  Larger blocks were no faster and raised peak memory.
+_SHORTLIST_BLOCK_ELEMENTS = 100_000
+
+#: Neighbours shortlisted beyond ``k``, so a gap usually separates the
+#: k-th exact distance from the smallest key left off the shortlist.
+_SHORTLIST_SLACK = 6
+
+#: Largest reference the shortlist scores; bigger ones go to the tree.
+#: On the clustered Adult population of ``density_scale`` the tree
+#: overtakes the shortlist between 10k and 20k rows and is ~6x faster at
+#: 100k, where a block holds a single query row (docs/performance.md).
+_SHORTLIST_MAX_REFERENCE = 10_000
+
+
+def _sqeuclidean_tree_order(queries, rows):
+    """Squared distances ``(b, s)`` from ``queries (b, d)`` to ``rows (b, s, d)``.
+
+    Summed in the order of scipy's ``sqeuclidean_distance_double``, the
+    kernel behind ``cKDTree.query``: four running accumulators over the
+    dimension groups ``4i..4i+3``, combined as ``((a0+a1)+a2)+a3``, then
+    the tail dimensions added one by one.  Same operands, same order,
+    same float64 roundings — so the values are the tree's, bit for bit.
+    The squares are laid out dimension-first so every running sum is a
+    contiguous elementwise add.
+    """
+    width = queries.shape[1]
+    squares = np.subtract(
+        rows.transpose(2, 0, 1),
+        queries.T[:, :, None],
+        out=np.empty((width, len(queries), rows.shape[1])),
+    )
+    np.multiply(squares, squares, out=squares)
+    full = width - width % 4
+    if full:
+        acc = squares[0:4]
+        for start in range(4, full, 4):
+            acc += squares[start:start + 4]
+        total = acc[0] + acc[1]
+        total += acc[2]
+        total += acc[3]
+    else:
+        total = np.zeros(squares.shape[1:])
+    for j in range(full, width):
+        total += squares[j]
+    return total
 
 
 def _check_backend(backend):
@@ -51,7 +100,13 @@ class KnnDensity(DensityModel):
     ``k`` is clamped to the reference size at query time, so a small
     feasible population degrades gracefully instead of failing.
 
-    ``backend="ann"`` swaps the ``cKDTree`` for the batched
+    The exact backend scores through a blocked GEMM shortlist whose
+    values are bit-identical to a ``cKDTree`` query (see :meth:`score`);
+    :meth:`query` still answers from the tree, whose tie order FACE's
+    graph depends on.  Both the tree and the shortlist's cached GEMM
+    operands are built lazily on first need and are not state.
+
+    ``backend="ann"`` swaps the exact path for the batched
     :class:`repro.density.ann.AnnIndex`; scores then satisfy a measured
     recall contract instead of bit-parity.  The non-active index is
     built lazily, so an ANN estimator can still answer
@@ -73,18 +128,19 @@ class KnnDensity(DensityModel):
         self.tile_budget = tile_budget
         self.reference_ = None
         self._tree = None
+        self._gemm = None
         self._ann = None
 
     def fit(self, reference):
         reference = check_2d(reference, "reference")
         self.reference_ = reference
         self._tree = None
+        self._gemm = None
         self._ann = None
-        # build only the active index; the other stays lazy
+        # the ANN index is built now; the exact path's tree and GEMM
+        # operands are built on first need
         if self.backend == "ann":
             self._ann_index()
-        else:
-            self._exact_tree()
         return self
 
     @property
@@ -104,8 +160,21 @@ class KnnDensity(DensityModel):
 
     def _exact_tree(self):
         if self._tree is None:
+            # imported here: scipy.spatial costs ~37 MiB resident, and the
+            # shortlist answers score() without it
+            from scipy.spatial import cKDTree
+
             self._tree = cKDTree(self.reference_)
         return self._tree
+
+    def _gemm_operands(self):
+        """``([-2 r, ||r||^2] per reference row, max ||r||)``, cached until the next fit."""
+        if self._gemm is None:
+            reference = self.reference_
+            norms_sq = np.einsum("ij,ij->i", reference, reference)
+            operand = np.hstack([-2.0 * reference, norms_sq[:, None]])
+            self._gemm = (operand, float(np.sqrt(norms_sq.max())))
+        return self._gemm
 
     def _ann_index(self):
         if self._ann is None:
@@ -130,13 +199,82 @@ class KnnDensity(DensityModel):
         return self._exact_tree().query(points, k=k)
 
     def score(self, candidates):
+        """Mean distance to the ``k`` nearest reference rows, per candidate.
+
+        On the exact backend the values are bit-identical to
+        ``cKDTree(reference).query(candidates, k)[0].mean(axis=1)``: they
+        come from the GEMM shortlist (:meth:`_exact_knn_distances`) when
+        the reference has more than ``k + 6`` and at most
+        :data:`_SHORTLIST_MAX_REFERENCE` rows, else from the tree itself.
+        """
         self._require_fitted()
         candidates = check_2d(candidates, "candidates")
-        k = min(self.k_neighbors, len(self.reference_))
-        distances, _ = self.query(candidates, k)
+        n_reference = len(self.reference_)
+        k = min(self.k_neighbors, n_reference)
+        if self.backend == "exact" and (
+                k + _SHORTLIST_SLACK < n_reference <= _SHORTLIST_MAX_REFERENCE):
+            distances = self._exact_knn_distances(candidates, k)
+        else:
+            distances, _ = self.query(candidates, k)
         if k == 1:
-            return distances
+            return distances.reshape(-1)
         return distances.mean(axis=1)
+
+    def _exact_knn_distances(self, points, k):
+        """Ascending ``(n, k)`` k-NN distances, bit-identical to the tree's.
+
+        Per block of query rows (at most
+        :data:`_SHORTLIST_BLOCK_ELEMENTS` keys or gathered elements):
+
+        1. **Shortlist** — one float64 GEMM gives the keys
+           ``||r||^2 - 2 q.r`` (the squared distance minus ``||q||^2``);
+           ``argpartition`` keeps the ``k + 6`` smallest.
+        2. **Exact recompute** — the shortlisted squared distances are
+           recomputed in the tree's own summation order
+           (:func:`_sqeuclidean_tree_order`), then sorted, cut to ``k``
+           and square-rooted.
+        3. **Certificate** — a row is accepted when its k-th exact
+           squared distance is at most ``||q||^2 + (smallest excluded
+           key) - eps``.  ``eps`` bounds the rounding errors of the key
+           (``||r||^2`` and the GEMM), of ``||q||^2`` and of the
+           recomputed distance together — at most ``3 (d + 1)`` unit
+           roundoffs of ``(||q|| + max||r||)^2`` to first order — so no
+           reference row left off the shortlist can have a computed
+           distance below the k-th, and the k values are the tree's.
+           Ties at the k-th value are harmless: only values are
+           returned.  Rows that fail are answered by the ``cKDTree``.
+
+        Requires ``k + 6 < n_reference``.
+        """
+        reference = self.reference_
+        n_reference, width = reference.shape
+        shortlist = k + _SHORTLIST_SLACK
+        operand, max_norm = self._gemm_operands()
+        # a ones column folds ||r||^2 into the GEMM: [q, 1] . [-2r, ||r||^2]
+        augmented = np.ones((len(points), width + 1))
+        augmented[:, :width] = points
+        squared = np.empty((len(points), shortlist))
+        excluded = np.empty(len(points))
+        block = max(1, _SHORTLIST_BLOCK_ELEMENTS // max(n_reference, shortlist * width))
+        for start in range(0, len(points), block):
+            keys = augmented[start:start + block] @ operand.T
+            order = np.argpartition(keys, shortlist, axis=1)
+            excluded[start:start + block] = keys[np.arange(len(keys)), order[:, shortlist]]
+            squared[start:start + block] = _sqeuclidean_tree_order(
+                points[start:start + block], reference[order[:, :shortlist]])
+        squared.sort(axis=1)
+
+        query_sq = np.einsum("ij,ij->i", points, points)
+        # 2 (d + 2) machine eps = 4 (d + 2) unit roundoffs: the 3 (d + 1)
+        # of the docstring plus headroom for second-order terms and the
+        # rounding of this bound itself
+        eps = 2.0 * (width + 2) * np.finfo(np.float64).eps * (np.sqrt(query_sq) + max_norm) ** 2
+        uncertified = np.flatnonzero(~(squared[:, k - 1] <= query_sq + excluded - eps))
+        distances = np.sqrt(squared[:, :k])
+        if len(uncertified):
+            tree_distances, _ = self._exact_tree().query(points[uncertified], k=k)
+            distances[uncertified] = tree_distances.reshape(len(uncertified), k)
+        return distances
 
     def with_backend(self, backend, ann_cells=None, ann_probes=None, ann_seed=None):
         """Same estimator on another backend (re-indexing, never re-scoring)."""

@@ -4,7 +4,10 @@ The ``density_at_scale`` section of ``BENCH_engine.json``: one real
 (downloaded, checksum-verified — or synthetically upsampled when
 offline) Adult Census population, encoded once and sliced to reference
 sizes from 1k to 1M rows; at each size the exact ``cKDTree`` and the
-:class:`repro.density.ann.AnnIndex` answer the same k-NN query batch.
+:class:`repro.density.ann.AnnIndex` answer the same k-NN query batch,
+and the exact backend's ``KnnDensity.score`` (the GEMM shortlist) scores
+it: an informational ``exact_score_rows_per_sec`` column beside the
+tree's ``exact_rows_per_sec``, asserted bit-identical to the tree first.
 
 The contract is measured in order:
 
@@ -89,16 +92,20 @@ def run_density_at_scale(sizes=DEFAULT_SIZES, seed=0, n_queries=512, k=10,
         exact = KnnDensity(k_neighbors=k_eff, backend="exact").fit(reference)
         ann = exact.with_backend("ann")
 
-        # recall is asserted before a single timing is recorded
-        _, exact_idx = exact.query(queries, k_eff)
+        # recall and score parity are asserted before a single timing
+        exact_dist, exact_idx = exact.query(queries, k_eff)
         _, ann_idx = ann.query(queries, k_eff)
         recall = recall_at_k(exact_idx, ann_idx)
         assert recall >= MIN_ANN_RECALL, (
             f"ANN recall@{k_eff} at {size} reference rows is {recall:.3f}, "
             f"below the {MIN_ANN_RECALL} floor")
+        tree_scores = exact_dist if k_eff == 1 else exact_dist.mean(axis=1)
+        assert np.array_equal(exact.score(queries), tree_scores), (
+            f"exact k-NN scores at {size} reference rows diverge from the tree")
 
         repeats = 3 if size <= GATE_SIZE else 1
         exact_seconds = _best_seconds(lambda: exact.query(queries, k_eff), repeats)
+        score_seconds = _best_seconds(lambda: exact.score(queries), repeats)
         ann_seconds = _best_seconds(lambda: ann.query(queries, k_eff), repeats)
         exact_rate = len(queries) / exact_seconds
         ann_rate = len(queries) / ann_seconds
@@ -116,6 +123,7 @@ def run_density_at_scale(sizes=DEFAULT_SIZES, seed=0, n_queries=512, k=10,
             "k": k_eff,
             "recall_at_k": round(float(recall), 4),
             "exact_rows_per_sec": round(exact_rate, 1),
+            "exact_score_rows_per_sec": round(len(queries) / score_seconds, 1),
             "ann_rows_per_sec": round(ann_rate, 1),
             "ann_speedup": round(float(speedup), 2),
             "speedup_gated": size >= ANN_GATE_ROWS,

@@ -453,10 +453,13 @@ def _density_section(explainer, bundle, spec, min_seconds, seed):
     (:func:`_density_select_loop`, two score passes per row); the
     batched path is the runner's density selection — ONE tiled density
     query plus one vectorized combined-score pass over the whole sweep.
-    Picks are asserted bit-identical before timing and the batched path
+    Picks are asserted bit-identical before timing, as are the tiled
+    k-NN scores against a direct ``cKDTree`` query, and the batched path
     must hold the 3x acceptance floor; the tiled scorer alone and the
     KDE estimator ride along as informational rates.
     """
+    from scipy.spatial import cKDTree
+
     from ..density import GaussianKdeDensity, KnnDensity
     from ..engine.runner import _select_candidates_density
 
@@ -484,9 +487,15 @@ def _density_section(explainer, bundle, spec, min_seconds, seed):
     if not np.array_equal(batched(), loop()[0]):
         raise AssertionError(
             "batched density selection diverges from the per-row loop")
-    if not np.array_equal(model.score_tiled(sweep), model.score_tiled_loop(sweep)):
+    tiled = model.score_tiled(sweep)
+    if not np.array_equal(tiled, model.score_tiled_loop(sweep)):
         raise AssertionError(
             "tiled density scorer diverges from the per-row query loop")
+    # both paths above run the GEMM shortlist; pin it to the tree itself
+    tree_distances, _ = cKDTree(reference).query(sweep.reshape(n * m, -1), k=10)
+    if not np.array_equal(tiled, tree_distances.mean(axis=1).reshape(n, m)):
+        raise AssertionError(
+            "exact k-NN density scorer diverges from a direct cKDTree query")
 
     loop_rate, loop_calls = _throughput(loop, n, min_seconds)
     fast_rate, fast_calls = _throughput(batched, n, min_seconds)

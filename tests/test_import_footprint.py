@@ -1,10 +1,12 @@
 """Importing the package keeps heavy optional modules out of memory.
 
-``scipy.stats`` (only rule mining needs ``spearmanr``) and
-``urllib.request`` (only a real dataset download needs it) are imported
-at their single call sites.  Loaded at import time they add ~30 MiB of
-resident memory to every process that imports :mod:`repro`, which the
-benchmark's ``peak_rss_mb`` gates.  The check runs in a fresh
+``scipy.stats`` (only rule mining needs ``spearmanr``),
+``urllib.request`` (only a real dataset download needs it),
+``scipy.spatial`` (only the exact k-NN tree: ``query()`` and the rows
+the GEMM shortlist cannot certify) and ``scipy.sparse`` (only FACE's
+graph) are imported at their call sites.  Loaded at import time they
+add tens of MiB of resident memory to every process that imports
+:mod:`repro`, which the benchmark's ``peak_rss_mb`` gates.  The check runs in a fresh
 interpreter so modules the test session already loaded cannot hide a
 regression.
 """
@@ -16,7 +18,7 @@ import subprocess
 import sys
 
 #: Modules no import of ``repro`` or any of its modules may load.
-DEFERRED = ("scipy.stats", "urllib.request")
+DEFERRED = ("scipy.stats", "urllib.request", "scipy.spatial", "scipy.sparse")
 
 SCRIPT = """
 import importlib, json, pkgutil, sys
