@@ -24,8 +24,8 @@ class _IdentityProjector:
     def project(self, x, x_cf):
         return np.asarray(x_cf, dtype=np.float64)
 
-    def project_tensor(self, x, x_cf):
-        return x_cf
+    def project_vjp(self, x, x_cf):
+        return x_cf, lambda grad: grad
 
 
 def _run(context, projector, seed=0):

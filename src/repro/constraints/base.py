@@ -6,9 +6,10 @@ roles in the paper:
 1. **Evaluation** — :meth:`Constraint.satisfied` returns a boolean per
    row; the feasibility score of Section IV-D is the satisfied
    percentage.
-2. **Learning** — :meth:`Constraint.penalty` returns a differentiable
-   scalar that is zero exactly when every row satisfies the constraint;
-   it is added to the four-part training loss (Section III-C).
+2. **Learning** — :meth:`Constraint.penalty` returns a scalar that is
+   zero exactly when every row satisfies the constraint, with its
+   closed-form gradient; it is added to the four-part training loss
+   (Section III-C).
 """
 
 from __future__ import annotations
@@ -35,11 +36,15 @@ class Constraint(ABC):
 
     @abstractmethod
     def penalty(self, x, x_cf):
-        """Differentiable scalar :class:`repro.nn.Tensor` penalty.
+        """Scalar training penalty and its pullback: ``(value, pullback)``.
 
-        ``x`` is a plain ndarray (the fixed input); ``x_cf`` is a Tensor
-        so gradients flow into the generator.  Must be non-negative and
-        zero when :meth:`satisfied` holds everywhere.
+        Both arguments are encoded ndarrays of identical shape.  ``value``
+        must be non-negative and zero when :meth:`satisfied` holds
+        everywhere.  ``pullback(scale, grad)`` adds the gradient of
+        ``scale * value`` in ``x_cf`` into the ``(n, d)`` array ``grad``
+        in place, touching only the columns the constraint reads, with
+        the ops (and, for several columns, the order) of backpropagating
+        the per-op autograd form, so the CF-VAE trains bit-identically.
         """
 
     def satisfaction_rate(self, x, x_cf):
@@ -119,10 +124,19 @@ class ConstraintSet:
         return CompiledConstraintSet(self)
 
     def penalty(self, x, x_cf):
-        """Sum of member penalties (Tensor scalar, 0 when all satisfied)."""
-        from ..nn import Tensor
+        """Sum of member penalties (0 when all satisfied) and its pullback.
 
-        total = Tensor(0.0)
+        The pullback adds the members' gradients in member order.
+        """
+        total = 0.0
+        pullbacks = []
         for constraint in self.constraints:
-            total = total + constraint.penalty(x, x_cf)
-        return total
+            value, pullback = constraint.penalty(x, x_cf)
+            total = total + value
+            pullbacks.append(pullback)
+
+        def pullback(scale, grad):
+            for member_pullback in pullbacks:
+                member_pullback(scale, grad)
+
+        return total, pullback

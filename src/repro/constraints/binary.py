@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..data.schema import FeatureType
-from ..nn import Tensor, as_tensor
+from ..nn.functional import sigmoid_backward, sigmoid_forward
 from .base import Constraint
 
 __all__ = ["OrdinalImplicationConstraint"]
@@ -79,13 +79,6 @@ class OrdinalImplicationConstraint(Constraint):
             return x[:, self._cause_block] @ self._rank_weights
         return x[:, self._cause_column]
 
-    def _cause_values_tensor(self, x_cf):
-        """Differentiable ordinal cause value per row of a Tensor."""
-        if self._cause_is_categorical:
-            block = x_cf[:, self._cause_block]
-            return block @ Tensor(self._rank_weights)
-        return x_cf[:, self._cause_column]
-
     # -- evaluation -------------------------------------------------------------
     def satisfied(self, x, x_cf):
         """Eq. 2 truth value per row.
@@ -108,17 +101,30 @@ class OrdinalImplicationConstraint(Constraint):
     # -- learning ----------------------------------------------------------------
     def penalty(self, x, x_cf):
         x = np.asarray(x)
-        x_cf = as_tensor(x_cf)
-        cause_before = self._cause_values_np(x)
-        cause_after = self._cause_values_tensor(x_cf)
-        delta_cause = cause_after - Tensor(cause_before)
-        delta_effect = x_cf[:, self._effect_column] - Tensor(x[:, self._effect_column])
+        x_cf = np.asarray(x_cf)
+        effect = self._effect_column
+        delta_cause = self._cause_values_np(x_cf) - self._cause_values_np(x)
+        delta_effect = x_cf[:, effect] - x[:, effect]
 
-        required = delta_cause.clip_min(0.0) * self.slope
+        required = np.maximum(delta_cause, 0.0) * self.slope
         if self.margin:
             # strict-increase margin active only when the cause moved up;
             # use a smooth gate so the penalty stays differentiable.
-            gate = (delta_cause * 50.0).sigmoid()
+            gate = sigmoid_forward(delta_cause * 50.0)
             required = required + gate * self.margin
-        shortfall = (required - delta_effect).clip_min(0.0)
-        return shortfall.mean()
+        shortfall = required - delta_effect
+        norm = 1.0 / len(shortfall)
+
+        def pullback(scale, grad):
+            grad_shortfall = (scale * norm) * (shortfall > 0.0)
+            grad_cause = grad_shortfall * self.slope * (delta_cause > 0.0)
+            if self.margin:
+                grad_cause = grad_cause + sigmoid_backward(
+                    grad_shortfall * self.margin, gate) * 50.0
+            if self._cause_is_categorical:
+                grad[:, self._cause_block] += np.outer(grad_cause, self._rank_weights)
+            else:
+                grad[:, self._cause_column] += grad_cause
+            grad[:, effect] -= grad_shortfall
+
+        return np.maximum(shortfall, 0.0).sum() * norm, pullback

@@ -4,14 +4,14 @@ The paper disables immutable attributes (race, gender, sex) during VAE
 training and re-inserts them in the final prediction.  We implement that
 as a projection: generated outputs are overwritten with the original
 values on every encoded column belonging to an immutable feature — both
-inside the differentiable training graph and at generation time.
+during training (where no gradient reaches those columns) and at
+generation time.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..nn import Tensor, as_tensor
 from .base import Constraint
 
 __all__ = ["ImmutableProjector", "ImmutablesRespected"]
@@ -45,15 +45,14 @@ class ImmutableProjector:
             x_cf[:, self.mask] = x[:, self.mask]
         return x_cf
 
-    def project_tensor(self, x, x_cf):
-        """Differentiable version used inside the training loss.
+    def project_vjp(self, x, x_cf):
+        """Training version: ``(projected, pullback)`` for flat ``(n, d)`` rows.
 
         Gradients flow only through mutable columns — immutable columns
         are replaced by constants, exactly "disabling" them for training.
         """
-        x_cf = as_tensor(x_cf)
-        cond = np.broadcast_to(self.mask, x_cf.shape)
-        return Tensor.where(cond, Tensor(np.asarray(x)), x_cf)
+        mutable = ~self.mask
+        return np.where(self.mask, x, x_cf), lambda grad: grad * mutable
 
 
 class ImmutablesRespected(Constraint):
@@ -80,10 +79,13 @@ class ImmutablesRespected(Constraint):
         return (drift <= self.tolerance).all(axis=1)
 
     def penalty(self, x, x_cf):
-        x = np.asarray(x)
-        x_cf = as_tensor(x_cf)
         if not self.mask.any():
-            return Tensor(0.0)
+            return 0.0, lambda scale, grad: None
         columns = np.flatnonzero(self.mask)
-        drift = x_cf[:, columns] - Tensor(x[:, columns])
-        return drift.abs().mean()
+        drift = np.asarray(x_cf)[:, columns] - np.asarray(x)[:, columns]
+        norm = 1.0 / drift.size
+
+        def pullback(scale, grad):
+            grad[:, columns] += (scale * norm) * np.sign(drift)
+
+        return np.abs(drift).sum() * norm, pullback

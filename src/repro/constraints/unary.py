@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import Tensor, as_tensor
 from .base import Constraint
 
 __all__ = ["MonotonicIncreaseConstraint"]
@@ -44,8 +43,12 @@ class MonotonicIncreaseConstraint(Constraint):
         return x_cf[:, self.column] >= x[:, self.column] - self.tolerance
 
     def penalty(self, x, x_cf):
-        x = np.asarray(x)
-        x_cf = as_tensor(x_cf)
+        column = self.column
         # -min(0, x_cf - x) == relu(x - x_cf): penalise any decrease.
-        decrease = Tensor(x[:, self.column]) - x_cf[:, self.column]
-        return decrease.clip_min(0.0).mean()
+        decrease = np.asarray(x)[:, column] - np.asarray(x_cf)[:, column]
+        norm = 1.0 / len(decrease)
+
+        def pullback(scale, grad):
+            grad[:, column] -= (scale * norm) * (decrease > 0.0)
+
+        return np.maximum(decrease, 0.0).sum() * norm, pullback

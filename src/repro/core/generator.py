@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import SGD, Adam, Tensor
+from ..nn import SGD, Adam
 from ..utils.validation import check_2d, resolve_desired
 from .losses import FourPartLoss
 
@@ -31,9 +31,9 @@ class CFVAEGenerator:
     vae:
         :class:`repro.models.ConditionalVAE` (Table II architecture).
     blackbox:
-        Trained :class:`repro.models.BlackBoxClassifier`.  Frozen for
-        the duration of :meth:`fit` (and released afterwards, so the
-        same instance stays retrainable).
+        Trained :class:`repro.models.BlackBoxClassifier`.  Training
+        differentiates through it graph-free and never touches its
+        parameters, so the same instance stays retrainable.
     constraints:
         :class:`repro.constraints.ConstraintSet` — the unary or binary
         causal model.
@@ -69,25 +69,37 @@ class CFVAEGenerator:
         The warm-start entry point for the serving layer: weights come
         from an artifact store, so no :meth:`fit` call happens.  The
         generator starts in eval mode and :meth:`generate` works
-        immediately; the blackbox is released (generation needs no
-        gradients, and a serving rollover must be able to retrain it).
+        immediately.
         """
         generator = cls(vae, blackbox, constraints, projector, config, rng=rng)
-        generator.loss_fn.release()
         generator.vae.eval()
         generator._fitted = True
         return generator
 
-    def _generate_batch(self, x, desired, perturb):
-        """One differentiable pass input -> counterfactual Tensor."""
-        mu, log_var = self.vae.encode(Tensor(x), desired)
-        z = self.vae.reparameterize(mu, log_var)
-        if perturb and self.config.latent_noise:
-            noise = self.rng.normal(0.0, self.config.latent_noise, size=z.shape)
-            z = z + noise
-        decoded = self.vae.decode(z, desired)
-        projected = self.projector.project_tensor(x, decoded)
-        return projected, mu, log_var
+    def _generate_vjp(self, x, desired):
+        """One training pass input -> counterfactual, graph-free.
+
+        Returns ``(x_cf, mu, log_var, pullback)``;
+        ``pullback(grad_x_cf, add_kl)`` backpropagates the loss into the
+        VAE's ``.grad`` arrays (``add_kl`` as returned by the loss's
+        pullback), bit-identical to one autograd graph per batch.
+        """
+        vae = self.vae
+        mu, log_var, encode_pullback = vae.encode_vjp(x, desired, accumulate=True)
+        z, reparameterize_pullback = vae.reparameterize_vjp(mu, log_var)
+        if self.config.latent_noise:
+            z = z + self.rng.normal(0.0, self.config.latent_noise, size=z.shape)
+        decoded, decode_pullback = vae.decode_vjp(z, desired, accumulate=True)
+        x_cf, project_pullback = self.projector.project_vjp(x, decoded)
+
+        def pullback(grad_x_cf, add_kl):
+            grad_mu, grad_log_var = reparameterize_pullback(
+                decode_pullback(project_pullback(grad_x_cf)))
+            if add_kl is not None:
+                grad_mu, grad_log_var = add_kl(grad_mu, grad_log_var)
+            encode_pullback(grad_mu, grad_log_var)
+
+        return x_cf, mu, log_var, pullback
 
     # -- in-loss surrogates -------------------------------------------------
     def prepare_inloss(self, reference=None, causal=None, desired_class=1):
@@ -176,34 +188,27 @@ class CFVAEGenerator:
 
         self.vae.train()
         n_rows = len(x)
-        self.loss_fn.freeze()
-        try:
-            for epoch in range(cfg.epochs):
-                order = self.rng.permutation(n_rows)
-                epoch_parts = []
-                for start in range(0, n_rows, cfg.batch_size):
-                    batch = order[start:start + cfg.batch_size]
-                    optimizer.zero_grad()
-                    x_cf, mu, log_var = self._generate_batch(
-                        x[batch], desired[batch], perturb=True)
-                    total, parts = self.loss_fn(
-                        x[batch], x_cf, desired[batch], mu, log_var)
-                    total.backward()
-                    optimizer.step()
-                    epoch_parts.append(parts)
-                averaged = {
-                    key: float(np.mean([p[key] for p in epoch_parts]))
-                    for key in epoch_parts[0]
-                }
-                self.history.append(averaged)
-                if verbose:
-                    rendered = ", ".join(f"{k}={v:.4f}" for k, v in averaged.items())
-                    print(f"epoch {epoch + 1}/{cfg.epochs}  {rendered}")
-        finally:
-            # the classifier leaves training exactly as retrainable as it
-            # arrived — a later train_classifier/rollover must see its
-            # parameters again
-            self.loss_fn.release()
+        for epoch in range(cfg.epochs):
+            order = self.rng.permutation(n_rows)
+            epoch_parts = []
+            for start in range(0, n_rows, cfg.batch_size):
+                batch = order[start:start + cfg.batch_size]
+                optimizer.zero_grad()
+                x_cf, mu, log_var, pullback = self._generate_vjp(
+                    x[batch], desired[batch])
+                _, parts, loss_pullback = self.loss_fn(
+                    x[batch], x_cf, desired[batch], mu, log_var)
+                pullback(*loss_pullback())
+                optimizer.step()
+                epoch_parts.append(parts)
+            averaged = {
+                key: float(np.mean([p[key] for p in epoch_parts]))
+                for key in epoch_parts[0]
+            }
+            self.history.append(averaged)
+            if verbose:
+                rendered = ", ".join(f"{k}={v:.4f}" for k, v in averaged.items())
+                print(f"epoch {epoch + 1}/{cfg.epochs}  {rendered}")
         self.vae.eval()
         self._fitted = True
         return self

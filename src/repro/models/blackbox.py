@@ -57,6 +57,13 @@ class BlackBoxClassifier(Module):
         x = check_2d_fast(x, "x")
         return self.network.forward_array(x).reshape(-1)
 
+    def forward_vjp(self, x, accumulate=False):
+        """Graph-free :meth:`forward` plus its pullback (see
+        :meth:`repro.nn.Module.forward_vjp`): ``(batch,)`` logits and a
+        pullback from a ``(batch,)`` gradient to ``(batch, features)``."""
+        logits, network_pullback = self.network.forward_vjp(x, accumulate)
+        return logits.reshape(-1), lambda grad: network_pullback(grad.reshape(-1, 1))
+
     def logits_vjp(self, x):
         """Graph-free logits plus their vector-Jacobian product in ``x``.
 
@@ -67,8 +74,7 @@ class BlackBoxClassifier(Module):
         through :meth:`forward`.  No parameter gradient is formed and no
         ``requires_grad`` flag is touched.
         """
-        logits, network_pullback = self.network.forward_vjp(check_2d_fast(x, "x"))
-        return logits.reshape(-1), lambda grad: network_pullback(grad.reshape(-1, 1))
+        return self.forward_vjp(check_2d_fast(x, "x"))
 
     def predict_proba(self, x):
         """P(class = 1) per row."""
@@ -94,7 +100,10 @@ def train_classifier(model, x, y, epochs=30, lr=0.05, batch_size=256,
     class on skewed datasets (KDD Census has ~12% positives).
 
     Returns the per-epoch mean loss history.  The classifier is left in
-    eval mode, ready to be frozen inside the explainers.
+    eval mode, ready for the explainers.  Each step runs the graph-free
+    :meth:`~BlackBoxClassifier.forward_vjp` with ``accumulate=True`` and
+    the closed-form BCE pullback, bit-identical to one autograd graph
+    per batch.
     """
     x = check_2d(x, "x")
     y = check_binary_labels(y, "y").astype(np.float64)
@@ -126,12 +135,12 @@ def train_classifier(model, x, y, epochs=30, lr=0.05, batch_size=256,
         for start in range(0, n_rows, batch_size):
             batch = order[start:start + batch_size]
             opt.zero_grad()
-            logits = model.forward(x[batch])
+            logits, pullback = model.forward_vjp(x[batch], accumulate=True)
             batch_weights = None if sample_weights is None else sample_weights[batch]
-            loss = bce_with_logits(logits, y[batch], weights=batch_weights)
-            loss.backward()
+            loss, loss_pullback = bce_with_logits(logits, y[batch], weights=batch_weights)
+            pullback(loss_pullback())
             opt.step()
-            losses.append(loss.item())
+            losses.append(float(loss))
         history.append(float(np.mean(losses)))
         if verbose:
             print(f"epoch {epoch + 1}/{epochs}  bce={history[-1]:.4f}")

@@ -23,8 +23,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import Dropout, Linear, Module, ReLU, Sequential, Tensor, no_grad
-from ..nn.functional import sigmoid_backward, sigmoid_forward
+from ..nn import Dropout, Linear, Module, ReLU, Sequential, Tensor, as_tensor
+from ..nn.functional import (
+    reparameterize_backward,
+    reparameterize_forward,
+    sigmoid_backward,
+    sigmoid_forward,
+)
+from ..nn.tensor import reparameterize
 
 __all__ = ["ConditionalVAE", "LATENT_DIM", "ENCODER_WIDTHS", "DECODER_WIDTHS"]
 
@@ -96,13 +102,13 @@ class ConditionalVAE(Module):
         log_var = self.log_var_head(hidden)
         return mu, log_var
 
+    def _noise(self, mu):
+        """Next ``eps ~ N(0, I)`` draw, shaped and typed like ``mu``."""
+        return self._noise_rng.standard_normal(mu.shape).astype(mu.dtype, copy=False)
+
     def reparameterize(self, mu, log_var):
-        """Sample ``z = mu + sigma * eps`` with pathwise gradients."""
-        eps = self._noise_rng.standard_normal(mu.shape).astype(
-            mu.data.dtype, copy=False)
-        floor = Tensor(np.full(log_var.shape, -10.0, dtype=log_var.data.dtype))
-        sigma = (log_var * 0.5).maximum(floor).exp()
-        return mu + sigma * eps
+        """Sample ``z = mu + sigma * eps`` with pathwise gradients (one graph node)."""
+        return reparameterize(mu, log_var, self._noise(mu.data))
 
     def decode(self, z, labels):
         """Map latent + class back to feature space, sigmoid bounded."""
@@ -118,7 +124,6 @@ class ConditionalVAE(Module):
         return self.decode(z, labels), mu, log_var, z
 
     def __call__(self, x, labels=None):
-        from ..nn import as_tensor
         return self.forward(as_tensor(x), labels)
 
     # -- inference helpers (graph-free fast path) -----------------------------
@@ -147,18 +152,51 @@ class ConditionalVAE(Module):
         hidden = self.decoder_trunk.forward_array(self._with_class_array(z, labels))
         return sigmoid_forward(self.output_head.forward_array(hidden))
 
-    def decode_vjp(self, z, labels):
+    # Graph-free forwards with pullbacks (see Module.forward_vjp): the
+    # searches run them with accumulate=False on a frozen model, the
+    # trainers with accumulate=True, bit-identical to one autograd graph.
+    def encode_vjp(self, x, labels, accumulate=False):
+        """Graph-free :meth:`encode` plus its pullback.
+
+        Returns ``(mu, log_var, pullback)``; ``pullback(grad_mu,
+        grad_log_var)`` returns the gradient with respect to ``x``.
+        """
+        hidden, trunk_pullback = self.encoder_trunk.forward_vjp(
+            self._with_class_array(x, labels), accumulate)
+        mu_logits, mu_pullback = self.mu_head.forward_vjp(hidden, accumulate)
+        mu = sigmoid_forward(mu_logits)
+        log_var, log_var_pullback = self.log_var_head.forward_vjp(hidden, accumulate)
+        n_features = np.shape(x)[1]
+
+        def pullback(grad_mu, grad_log_var):
+            grad = (mu_pullback(sigmoid_backward(grad_mu, mu))
+                    + log_var_pullback(grad_log_var))
+            return trunk_pullback(grad)[:, :n_features]
+
+        return mu, log_var, pullback
+
+    def reparameterize_vjp(self, mu, log_var):
+        """Graph-free :meth:`reparameterize` plus its pullback.
+
+        Returns ``(z, pullback)``; ``pullback(grad)`` returns the
+        gradients ``(grad_mu, grad_log_var)``.
+        """
+        eps = self._noise(mu)
+        z, sigma, keep = reparameterize_forward(mu, log_var, eps)
+        return z, lambda grad: (grad, reparameterize_backward(grad, eps, sigma, keep))
+
+    def decode_vjp(self, z, labels, accumulate=False):
         """Graph-free :meth:`decode` plus its vector-Jacobian product in ``z``.
 
-        Returns ``(features, pullback)``: ``features`` equals
-        :meth:`decode_array` and ``pullback(grad)`` maps a gradient with
-        respect to the features to the gradient with respect to ``z``,
-        bit-identical to backpropagating through :meth:`decode`.  Dropout
-        must be the identity (eval mode or ``p == 0``).
+        Returns ``(features, pullback)``: ``pullback(grad)`` maps a
+        gradient with respect to the features to the gradient with
+        respect to ``z``, bit-identical to backpropagating through
+        :meth:`decode`.  With ``accumulate=False`` ``features`` equals
+        :meth:`decode_array`.
         """
         hidden, trunk_pullback = self.decoder_trunk.forward_vjp(
-            self._with_class_array(z, labels))
-        logits, head_pullback = self.output_head.forward_vjp(hidden)
+            self._with_class_array(z, labels), accumulate)
+        logits, head_pullback = self.output_head.forward_vjp(hidden, accumulate)
         features = sigmoid_forward(logits)
         latent_dim = np.shape(z)[1]
 
@@ -177,14 +215,13 @@ class ConditionalVAE(Module):
     def sample_latent(self, x, labels):
         """Eval-mode stochastic latent samples, as ndarray.
 
-        Encoding runs graph-free; the sample itself reuses the single
-        :meth:`reparameterize` implementation (under ``no_grad``) so the
-        sigma formula and its log-var floor live in exactly one place.
+        Encoding runs graph-free and the sample runs the one
+        reparameterisation kernel, so the sigma formula and its log-var
+        floor live in exactly one place.
         """
         self.eval()
         mu, log_var = self.encode_array(x, labels)
-        with no_grad():
-            return self.reparameterize(Tensor(mu), Tensor(log_var)).data
+        return reparameterize_forward(mu, log_var, self._noise(mu))[0]
 
     def decode_latent(self, z, labels):
         """Eval-mode decode of plain latent ndarray (graph-free)."""

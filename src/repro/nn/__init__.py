@@ -15,8 +15,6 @@ from .layers import (
     Sequential,
     Sigmoid,
     Tanh,
-    freeze_parameters,
-    restore_parameters,
 )
 from .losses import (
     bce_with_logits,
@@ -35,6 +33,7 @@ from .tensor import (
     Tensor,
     as_tensor,
     dtype_scope,
+    fused,
     get_default_dtype,
     is_grad_enabled,
     linear,
@@ -45,10 +44,9 @@ from .training_utils import CosineDecay, EarlyStopping, StepDecay, clip_grad_nor
 
 __all__ = [
     "Tensor", "as_tensor", "no_grad", "is_grad_enabled",
-    "linear", "functional",
+    "linear", "fused", "functional",
     "get_default_dtype", "set_default_dtype", "dtype_scope",
     "Module", "Linear", "ReLU", "Sigmoid", "Tanh", "Dropout", "Sequential",
-    "freeze_parameters", "restore_parameters",
     "bce_with_logits", "cross_entropy", "hinge_loss", "hinge_loss_grad", "l1_loss", "mse_loss",
     "gaussian_kl", "logsumexp", "softmax",
     "Optimizer", "SGD", "Adam",

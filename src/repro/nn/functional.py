@@ -17,8 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["linear_forward", "relu_forward", "sigmoid_forward", "tanh_forward",
-           "relu_backward", "sigmoid_backward"]
+__all__ = ["linear_forward", "linear_backward", "relu_forward", "sigmoid_forward", "tanh_forward",
+           "relu_backward", "sigmoid_backward",
+           "reparameterize_forward", "reparameterize_backward"]
+
+#: Floor on ``0.5 * log_var`` before the exponential: sigma >= e^-10.
+LOG_SIGMA_FLOOR = -10.0
 
 
 def linear_forward(x, weight, bias):
@@ -31,6 +35,17 @@ def linear_forward(x, weight, bias):
     out = x @ weight
     out += bias
     return out
+
+
+def linear_backward(grad, x, weight):
+    """Gradients of ``x @ weight + bias``: ``(in x, in weight, in bias)``.
+
+    ``grad @ weight.T``, ``x.T @ grad`` and the batch sum of ``grad``;
+    a single row ``x`` of shape ``(in,)`` takes the outer product.
+    """
+    if grad.ndim == 1:
+        return grad @ weight.T, np.outer(x, grad), grad
+    return grad @ weight.T, x.T @ grad, grad.sum(axis=0)
 
 
 def relu_forward(x):
@@ -63,3 +78,26 @@ def relu_backward(grad, out):
 def sigmoid_backward(grad, out):
     """Pull ``grad`` back through a sigmoid whose forward output was ``out``."""
     return grad * out * (1.0 - out)
+
+
+def reparameterize_forward(mu, log_var, eps):
+    """Reparameterised sample ``z = mu + sigma * eps``.
+
+    ``sigma = exp(max(0.5 * log_var, -10))``; the floor keeps sigma away
+    from zero for numerical safety.  Returns ``(z, sigma, keep)`` where
+    ``keep`` marks the entries above the floor, the two arrays
+    :func:`reparameterize_backward` needs.
+    """
+    half = log_var * 0.5
+    keep = half >= LOG_SIGMA_FLOOR
+    sigma = np.exp(np.where(keep, half, LOG_SIGMA_FLOOR))
+    return mu + sigma * eps, sigma, keep
+
+
+def reparameterize_backward(grad, eps, sigma, keep):
+    """Pull ``grad`` (in ``z``) back to ``log_var`` through the sample.
+
+    The gradient in ``mu`` is ``grad`` itself.  The ops run in the order
+    of the autograd chain ``mul(eps) -> exp -> maximum -> mul(0.5)``.
+    """
+    return grad * eps * sigma * keep * 0.5

@@ -14,33 +14,15 @@ from . import functional
 from .init import he_uniform, xavier_uniform, zeros
 from .tensor import Tensor, as_tensor, linear, no_grad
 
-__all__ = ["Module", "Linear", "ReLU", "Sigmoid", "Tanh", "Dropout", "Sequential",
-           "freeze_parameters", "restore_parameters"]
+__all__ = ["Module", "Linear", "ReLU", "Sigmoid", "Tanh", "Dropout", "Sequential"]
 
 
-def freeze_parameters(*modules):
-    """Switch off ``requires_grad`` on every parameter of ``modules``.
-
-    Returns the prior ``(tensor, flag)`` pairs, frozen parameters
-    included, for :func:`restore_parameters`: a model shared with the
-    rest of the system (a trained black box) is frozen only for as long
-    as one search or training loop differentiates through it, and stays
-    retrainable afterwards.
-    """
-    flags = [
-        (tensor, tensor.requires_grad)
-        for module in modules
-        for _, tensor in module.named_parameters(include_frozen=True)
-    ]
-    for tensor, _ in flags:
-        tensor.requires_grad = False
-    return flags
-
-
-def restore_parameters(flags):
-    """Restore the ``requires_grad`` flags :func:`freeze_parameters` recorded."""
-    for tensor, flag in flags:
-        tensor.requires_grad = flag
+def _accumulate(parameter, grad):
+    """Add ``grad`` into ``parameter.grad`` the way ``Tensor.backward`` does."""
+    if parameter.grad is None:
+        parameter.grad = grad
+    else:
+        parameter.grad += grad
 
 
 class Module:
@@ -74,18 +56,24 @@ class Module:
         with no_grad():
             return self.forward(as_tensor(x)).data
 
-    def forward_vjp(self, x):
+    def forward_vjp(self, x, accumulate=False):
         """Graph-free forward plus its vector-Jacobian product in ``x``.
 
-        Returns ``(out, pullback)`` where ``out`` equals
-        :meth:`forward_array` and ``pullback(grad)`` maps a gradient with
-        respect to ``out`` to the gradient with respect to ``x``.  The
-        pullback applies the same :mod:`repro.nn.functional` kernels in
-        the same order as :meth:`repro.nn.Tensor.backward`, so it is
-        bit-identical to backpropagating through :meth:`forward`, but it
-        builds no graph and never forms parameter gradients: the fast
-        path for searches that differentiate a frozen model in its
-        input.
+        Returns ``(out, pullback)`` where ``pullback(grad)`` maps a
+        gradient with respect to ``out`` to the gradient with respect to
+        ``x``.  The pullback applies the same :mod:`repro.nn.functional`
+        kernels in the same order as :meth:`repro.nn.Tensor.backward`, so
+        it is bit-identical to backpropagating through :meth:`forward`,
+        but it builds no graph.
+
+        With ``accumulate=False`` (the searches that differentiate a
+        frozen model in its input) ``out`` equals :meth:`forward_array`
+        and no parameter gradient is formed.  With ``accumulate=True``
+        (the trainers) the forward follows :meth:`forward` exactly, with
+        no cast of ``x`` to the weight dtype, and the pullback also adds
+        each parameter's gradient into its ``.grad``, as the tape would.
+        Training-mode ``Dropout`` draws its mask in the forward either
+        way and the pullback replays it.
         """
         raise NotImplementedError(f"{type(self).__name__} has no graph-free pullback")
 
@@ -209,9 +197,18 @@ class Linear(Module):
             x = x.astype(weight.dtype)
         return functional.linear_forward(x, weight, self.bias.data)
 
-    def forward_vjp(self, x):
+    def forward_vjp(self, x, accumulate=False):
         weight = self.weight.data
-        return self.forward_array(x), lambda grad: grad @ weight.T
+        if not accumulate:
+            return self.forward_array(x), lambda grad: grad @ weight.T
+
+        def pullback(grad):
+            grad_x, grad_weight, grad_bias = functional.linear_backward(grad, x, weight)
+            _accumulate(self.weight, grad_weight)
+            _accumulate(self.bias, grad_bias)
+            return grad_x
+
+        return functional.linear_forward(x, weight, self.bias.data), pullback
 
     def __repr__(self):
         return f"Linear({self.in_features}, {self.out_features})"
@@ -226,7 +223,7 @@ class ReLU(Module):
     def forward_array(self, x):
         return functional.relu_forward(x)
 
-    def forward_vjp(self, x):
+    def forward_vjp(self, x, accumulate=False):
         out = functional.relu_forward(x)
         return out, lambda grad: functional.relu_backward(grad, out)
 
@@ -243,7 +240,7 @@ class Sigmoid(Module):
     def forward_array(self, x):
         return functional.sigmoid_forward(x)
 
-    def forward_vjp(self, x):
+    def forward_vjp(self, x, accumulate=False):
         out = functional.sigmoid_forward(x)
         return out, lambda grad: functional.sigmoid_backward(grad, out)
 
@@ -280,27 +277,28 @@ class Dropout(Module):
         self.p = float(p)
         self._rng = rng
 
+    def _mask(self, shape, dtype):
+        """Draw the next inverted-dropout mask from the dropout rng."""
+        keep = 1.0 - self.p
+        return ((self._rng.random(shape) < keep) / keep).astype(dtype, copy=False)
+
     def forward(self, x):
         if not self.training or self.p == 0.0:
             return x
-        keep = 1.0 - self.p
-        mask = (self._rng.random(x.shape) < keep) / keep
-        return x * mask.astype(x.data.dtype, copy=False)
+        return x * self._mask(x.shape, x.data.dtype)
 
     def forward_array(self, x):
         if not self.training or self.p == 0.0:
             return x
-        keep = 1.0 - self.p
-        mask = (self._rng.random(np.shape(x)) < keep) / keep
-        return x * mask.astype(np.asarray(x).dtype, copy=False)
+        return x * self._mask(np.shape(x), np.asarray(x).dtype)
 
-    def forward_vjp(self, x):
-        # a pullback must replay the forward's mask; only the identity
-        # (eval mode or p == 0) has one without drawing from the rng
-        if self.training and self.p != 0.0:
-            raise RuntimeError(
-                "Dropout has no pullback in training mode with p > 0; call eval()")
-        return x, lambda grad: grad
+    def forward_vjp(self, x, accumulate=False):
+        # the pullback replays the mask this forward drew, so one
+        # forward_vjp consumes the rng exactly like one tape forward
+        if not self.training or self.p == 0.0:
+            return x, lambda grad: grad
+        mask = self._mask(np.shape(x), np.asarray(x).dtype)
+        return x * mask, lambda grad: grad * mask
 
     def __repr__(self):
         return f"Dropout(p={self.p})"
@@ -323,10 +321,10 @@ class Sequential(Module):
             x = layer.forward_array(x)
         return x
 
-    def forward_vjp(self, x):
+    def forward_vjp(self, x, accumulate=False):
         pullbacks = []
         for layer in self.layers:
-            x, layer_pullback = layer.forward_vjp(x)
+            x, layer_pullback = layer.forward_vjp(x, accumulate)
             pullbacks.append(layer_pullback)
 
         def pullback(grad):

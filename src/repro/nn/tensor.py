@@ -22,7 +22,8 @@ import numpy as np
 from . import functional
 
 __all__ = [
-    "Tensor", "as_tensor", "linear", "no_grad", "is_grad_enabled",
+    "Tensor", "as_tensor", "linear", "reparameterize", "fused", "no_grad",
+    "is_grad_enabled",
     "get_default_dtype", "set_default_dtype", "dtype_scope",
 ]
 
@@ -539,14 +540,43 @@ def linear(x, weight, bias):
     out_data = functional.linear_forward(x.data, weight.data, bias.data)
 
     def backward(g):
-        if g.ndim == 1:
-            grad_weight = np.outer(x.data, g)
-            grad_bias = g
-        else:
-            grad_weight = x.data.T @ g
-            grad_bias = g.sum(axis=0)
-        return ((x, g @ weight.data.T),
-                (weight, grad_weight),
-                (bias, grad_bias))
+        grad_x, grad_weight, grad_bias = functional.linear_backward(g, x.data, weight.data)
+        return ((x, grad_x), (weight, grad_weight), (bias, grad_bias))
 
     return Tensor._make(out_data, (x, weight, bias), backward)
+
+
+def reparameterize(mu, log_var, eps):
+    """Fused reparameterisation op ``mu + sigma * eps`` as ONE graph node.
+
+    Runs the :func:`repro.nn.functional.reparameterize_forward` kernel
+    and pulls gradients back through
+    :func:`~repro.nn.functional.reparameterize_backward`: ``g`` into
+    ``mu`` and the sigma chain into ``log_var``, the values the unfused
+    ``mul``/``maximum``/``exp``/``add`` chain produced.
+    """
+    mu = as_tensor(mu)
+    log_var = as_tensor(log_var)
+    out_data, sigma, keep = functional.reparameterize_forward(mu.data, log_var.data, eps)
+
+    def backward(g):
+        return ((mu, g),
+                (log_var, functional.reparameterize_backward(g, eps, sigma, keep)))
+
+    return Tensor._make(out_data, (mu, log_var), backward)
+
+
+def fused(value, parent, pullback):
+    """One graph node over a closed-form function of ``parent``.
+
+    ``value`` is the function's value at ``parent.data`` and
+    ``pullback(g)`` its gradient in ``parent`` scaled by the upstream
+    gradient ``g``.  Lets a loss written in closed form join a graph
+    that other terms still build op by op, as a single node.
+    """
+    parent = as_tensor(parent)
+
+    def backward(g):
+        return ((parent, pullback(g)),)
+
+    return Tensor._make(np.asarray(value), (parent,), backward)

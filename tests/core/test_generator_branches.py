@@ -9,7 +9,6 @@ from repro.core import CFTrainingConfig, FourPartLoss, fast_config
 from repro.core.generator import CFVAEGenerator
 from repro.data import load_dataset
 from repro.models import BlackBoxClassifier, ConditionalVAE, train_classifier
-from repro.nn import Tensor
 
 
 @pytest.fixture(scope="module")
@@ -78,10 +77,10 @@ class TestLossBranches:
         l2_loss = FourPartLoss(blackbox, constraints,
                                CFTrainingConfig(proximity_metric="l2"))
         x = x_train[:20]
-        x_cf = Tensor(np.clip(x + 0.1, 0, 1))
+        x_cf = np.clip(x + 0.1, 0, 1)
         desired = 1 - blackbox.predict(x)
-        _, parts_l1 = l1_loss(x, x_cf, desired)
-        _, parts_l2 = l2_loss(x, x_cf, desired)
+        _, parts_l1, _ = l1_loss(x, x_cf, desired)
+        _, parts_l2, _ = l2_loss(x, x_cf, desired)
         # for deltas ~0.1, squared distance is smaller than absolute
         assert parts_l2["proximity"] < parts_l1["proximity"]
 
@@ -91,8 +90,9 @@ class TestLossBranches:
         loss = FourPartLoss(blackbox, constraints,
                             CFTrainingConfig(kl_weight=0.0))
         x = x_train[:10]
-        mu = Tensor(np.random.default_rng(0).random((10, 4)))
-        log_var = Tensor(np.zeros((10, 4)))
-        _, parts = loss(x, Tensor(x.copy()), 1 - blackbox.predict(x),
-                        mu, log_var)
+        mu = np.random.default_rng(0).random((10, 4))
+        log_var = np.zeros((10, 4))
+        _, parts, pullback = loss(x, x.copy(), 1 - blackbox.predict(x),
+                                  mu, log_var)
         assert "kl" not in parts
+        assert pullback()[1] is None

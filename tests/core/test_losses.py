@@ -7,17 +7,17 @@ from repro.constraints import ConstraintSet, MonotonicIncreaseConstraint
 from repro.core import CFTrainingConfig, FourPartLoss, sparsity_penalty
 from repro.data import load_dataset
 from repro.models import BlackBoxClassifier, train_classifier
-from repro.nn import Tensor
+from tests.helpers.parity import assert_bit_identical
 
 
 class TestSparsityPenalty:
     def test_zero_delta_zero_penalty(self):
-        out = sparsity_penalty(Tensor(np.zeros((3, 4))), 1.0, 1.0, 0.05)
-        assert out.item() == 0.0
+        value, _ = sparsity_penalty(np.zeros((3, 4)), 1.0, 1.0, 0.05)
+        assert value == 0.0
 
     def test_grows_with_changes(self):
-        small = sparsity_penalty(Tensor(np.full((2, 4), 0.01)), 1.0, 1.0, 0.05).item()
-        large = sparsity_penalty(Tensor(np.full((2, 4), 0.5)), 1.0, 1.0, 0.05).item()
+        small, _ = sparsity_penalty(np.full((2, 4), 0.01), 1.0, 1.0, 0.05)
+        large, _ = sparsity_penalty(np.full((2, 4), 0.5), 1.0, 1.0, 0.05)
         assert large > small
 
     def test_l0_counts_features_not_magnitude(self):
@@ -25,18 +25,18 @@ class TestSparsityPenalty:
         one_big = np.zeros((1, 10))
         one_big[0, 0] = 1.0
         spread = np.full((1, 10), 0.1)
-        l0_big = sparsity_penalty(Tensor(one_big), 0.0, 1.0, 0.01).item()
-        l0_spread = sparsity_penalty(Tensor(spread), 0.0, 1.0, 0.01).item()
+        l0_big, _ = sparsity_penalty(one_big, 0.0, 1.0, 0.01)
+        l0_spread, _ = sparsity_penalty(spread, 0.0, 1.0, 0.01)
         assert l0_spread > l0_big  # more features changed => larger smooth-L0
 
     def test_weights_disable_terms(self):
-        delta = Tensor(np.full((2, 3), 0.2))
-        assert sparsity_penalty(delta, 0.0, 0.0, 0.05).item() == 0.0
+        value, pullback = sparsity_penalty(np.full((2, 3), 0.2), 0.0, 0.0, 0.05)
+        assert value == 0.0
+        assert pullback(1.0) is None
 
     def test_differentiable(self):
-        delta = Tensor(np.full((2, 3), 0.2), requires_grad=True)
-        sparsity_penalty(delta, 1.0, 1.0, 0.05).backward()
-        assert delta.grad is not None
+        _, pullback = sparsity_penalty(np.full((2, 3), 0.2), 1.0, 1.0, 0.05)
+        assert (pullback(1.0) > 0.0).all()
 
 
 def fitted_pieces(n=300):
@@ -54,15 +54,15 @@ class TestFourPartLoss:
         _, x, blackbox, constraints = fitted_pieces()
         loss_fn = FourPartLoss(blackbox, constraints, CFTrainingConfig())
         desired = 1 - blackbox.predict(x)
-        total, parts = loss_fn(x, Tensor(x.copy()), desired)
+        total, parts, _ = loss_fn(x, x.copy(), desired)
         assert set(parts) >= {"validity", "proximity", "feasibility", "sparsity", "total"}
-        assert total.item() == pytest.approx(parts["total"])
+        assert total == pytest.approx(parts["total"])
 
     def test_identity_cf_has_zero_proximity_and_sparsity(self):
         _, x, blackbox, constraints = fitted_pieces()
         loss_fn = FourPartLoss(blackbox, constraints, CFTrainingConfig())
         desired = 1 - blackbox.predict(x)
-        _, parts = loss_fn(x, Tensor(x.copy()), desired)
+        _, parts, _ = loss_fn(x, x.copy(), desired)
         assert parts["proximity"] == 0.0
         assert parts["sparsity"] == 0.0
         assert parts["feasibility"] == 0.0
@@ -72,25 +72,34 @@ class TestFourPartLoss:
         _, x, blackbox, constraints = fitted_pieces()
         loss_fn = FourPartLoss(blackbox, constraints, CFTrainingConfig(kl_weight=0.1))
         desired = 1 - blackbox.predict(x)
-        mu = Tensor(np.random.default_rng(0).random((len(x), 4)))
-        log_var = Tensor(np.zeros((len(x), 4)))
-        _, parts = loss_fn(x, Tensor(x.copy()), desired, mu, log_var)
+        mu = np.random.default_rng(0).random((len(x), 4))
+        log_var = np.zeros((len(x), 4))
+        _, parts, _ = loss_fn(x, x.copy(), desired, mu, log_var)
         assert "kl" in parts and parts["kl"] > 0
 
     def test_blackbox_frozen(self):
+        # gradients flow through the classifier, never into it: the loss
+        # and its pullback leave every flag, gradient and weight alone
         _, x, blackbox, constraints = fitted_pieces()
-        FourPartLoss(blackbox, constraints, CFTrainingConfig())
-        assert all(not p.requires_grad for p in blackbox.parameters())
+        parameters = [p for _, p in blackbox.named_parameters(include_frozen=True)]
+        before = [(p.requires_grad, p.grad, p.data) for p in parameters]
+        grads = [None if p.grad is None else p.grad.copy() for p in parameters]
+        loss_fn = FourPartLoss(blackbox, constraints, CFTrainingConfig())
+        _, _, pullback = loss_fn(x, x + 0.01, 1 - blackbox.predict(x))
+        pullback()
+        for (flag, grad, data), saved, p in zip(before, grads, parameters):
+            assert p.requires_grad is flag and p.grad is grad and p.data is data
+            assert_bit_identical(p.grad, saved)
 
     def test_gradients_flow_to_cf(self):
         _, x, blackbox, constraints = fitted_pieces()
         loss_fn = FourPartLoss(blackbox, constraints, CFTrainingConfig())
         desired = 1 - blackbox.predict(x)
-        x_cf = Tensor(x.copy() + 0.01, requires_grad=True)
-        total, _ = loss_fn(x, x_cf, desired)
-        total.backward()
-        assert x_cf.grad is not None
-        assert np.abs(x_cf.grad).sum() > 0
+        _, _, pullback = loss_fn(x, x.copy() + 0.01, desired)
+        grad, add_kl = pullback()
+        assert grad.shape == x.shape
+        assert np.abs(grad).sum() > 0
+        assert add_kl is None  # no posterior stats, no KL term
 
     def test_violating_cf_pays_feasibility(self):
         bundle, x, blackbox, constraints = fitted_pieces()
@@ -98,5 +107,5 @@ class TestFourPartLoss:
         desired = 1 - blackbox.predict(x)
         x_cf = x.copy()
         x_cf[:, bundle.encoder.column_of("age")] -= 0.2  # get younger
-        _, parts = loss_fn(x, Tensor(x_cf), desired)
+        _, parts, _ = loss_fn(x, x_cf, desired)
         assert parts["feasibility"] > 0

@@ -15,7 +15,8 @@ the ``x`` rows and resolved ``desired`` classes ``propose`` would pass to
 
 import numpy as np
 
-from repro.nn import Adam, Tensor, freeze_parameters, hinge_loss, no_grad, restore_parameters
+from repro.nn import Adam, Tensor, no_grad
+from tests.helpers.training import freeze_parameters, hinge_loss, restore_parameters
 
 
 def revise_search_autograd(explainer, x, desired):

@@ -1,6 +1,6 @@
 """Fast-path engine parity: fused kernels, graph-free inference, dtypes.
 
-Three guarantees pinned here:
+Four guarantees pinned here:
 
 1. The fused ``linear`` op matches the unfused ``x @ W + b`` chain
    exactly (forward AND all three gradients) and passes float64
@@ -11,6 +11,8 @@ Three guarantees pinned here:
 3. The configurable dtype: float32 fast mode produces float32 tensors
    and parameters, scopes restore cleanly, and float64 stays the
    gradcheck-grade default.
+4. The fused ``reparameterize`` node is bit-identical to the op chain it
+   replaced, and ``nn.fused`` lets a closed-form term join a graph.
 """
 
 import numpy as np
@@ -112,6 +114,50 @@ class TestFusedLinear:
         out = layer(Tensor(RNG.normal(size=(2, 4)), requires_grad=True))
         # one fused node: parents are (x, weight, bias), not a matmul chain
         assert len(out._parents) == 3
+
+
+class TestFusedReparameterize:
+    """The fused ``reparameterize`` node against the op chain it replaced."""
+
+    def test_matches_op_chain_exactly(self):
+        from repro.nn.tensor import reparameterize
+
+        rng = np.random.default_rng(12)
+        mu_value = rng.uniform(size=(6, 4))
+        log_var_value = rng.normal(0.0, 2.0, size=(6, 4))
+        log_var_value[0, :2] = -30.0  # below the sigma floor: no gradient
+        eps = rng.normal(size=(6, 4))
+        grad = rng.normal(size=(6, 4))
+
+        mu, log_var = (Tensor(mu_value.copy(), requires_grad=True),
+                       Tensor(log_var_value.copy(), requires_grad=True))
+        fused_z = reparameterize(mu, log_var, eps)
+        fused_z.backward(grad)
+        assert len(fused_z._parents) == 2
+
+        mu_chain, log_var_chain = (Tensor(mu_value.copy(), requires_grad=True),
+                                   Tensor(log_var_value.copy(), requires_grad=True))
+        floor = Tensor(np.full(log_var_value.shape, -10.0))
+        chain_z = mu_chain + (log_var_chain * 0.5).maximum(floor).exp() * eps
+        chain_z.backward(grad)
+
+        np.testing.assert_array_equal(fused_z.data, chain_z.data)
+        np.testing.assert_array_equal(mu.grad, mu_chain.grad)
+        np.testing.assert_array_equal(log_var.grad, log_var_chain.grad)
+        assert not log_var.grad[0, :2].any()
+
+
+class TestFusedNode:
+    def test_closed_form_joins_the_graph(self):
+        from repro.nn import fused
+
+        rng = np.random.default_rng(13)
+        value = rng.normal(size=(5, 3))
+        weights = rng.normal(size=(5, 3))
+        x = Tensor(value.copy(), requires_grad=True)
+        node = fused(float((value * weights).sum()), x, lambda g: g * weights)
+        (node * 2.0 + (x * x).sum()).backward()
+        np.testing.assert_allclose(x.grad, 2.0 * weights + 2.0 * value, rtol=1e-12)
 
 
 class TestActivationBackwardReuse:

@@ -12,7 +12,8 @@ box through these instead of an autograd tape.  Pinned here:
 3. ``hinge_loss_grad`` is bit-identical to backpropagating through
    ``scale * hinge_loss``, including at batch sizes where
    ``n * (1 / n) != 1``.
-4. Training-mode ``Dropout(p > 0)`` and layers without a pullback raise.
+4. Training-mode ``Dropout(p > 0)`` replays the mask it drew; layers
+   without a pullback raise.
 5. The one-exponential ``sigmoid_forward`` kernel (shared by every
    sigmoid, graph or graph-free) is bit-identical to the three-exp
    two-branch formula it replaced.
@@ -30,10 +31,10 @@ from repro.nn import (
     Sigmoid,
     Tanh,
     Tensor,
-    hinge_loss,
     hinge_loss_grad,
 )
 from tests.helpers.parity import assert_grad_matches_fd
+from tests.helpers.training import hinge_loss
 
 
 def _autograd_vjp(forward, x, grad):
@@ -74,12 +75,26 @@ def test_pullback_forms_no_parameter_gradient():
     assert all(parameter.grad is None for parameter in layer.parameters())
 
 
-def test_training_dropout_has_no_pullback():
-    layer = Dropout(0.3, np.random.default_rng(0))
-    with pytest.raises(RuntimeError, match="training mode"):
-        layer.forward_vjp(np.ones((2, 3)))
-    with pytest.raises(RuntimeError, match="training mode"):
-        Sequential(ReLU(), layer).forward_vjp(np.ones((2, 3)))
+def test_training_dropout_pullback_replays_mask():
+    # a training-mode forward_vjp draws the same mask from the same rng
+    # as the tape forward, and its pullback replays it
+    def network(seed):
+        rng = np.random.default_rng(seed)
+        return Sequential(Linear(6, 5, rng), ReLU(), Dropout(0.3, rng),
+                          Linear(5, 4, rng), Dropout(0.5, rng))
+
+    graph_free, tape = network(21), network(21)
+    rng = np.random.default_rng(22)
+    for accumulate in (False, True, False):  # consecutive draws stay in step
+        x = rng.normal(size=(7, 6))
+        grad = rng.normal(size=(7, 4))
+        out, pullback = graph_free.forward_vjp(x, accumulate)
+        tensor = Tensor(x.copy(), requires_grad=True)
+        expected = tape(tensor)
+        expected.backward(grad)
+        np.testing.assert_array_equal(out, expected.data)
+        np.testing.assert_array_equal(pullback(grad), tensor.grad)
+    assert (out == 0.0).any()
 
 
 def test_uncovered_layer_raises():
